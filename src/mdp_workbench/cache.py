@@ -12,7 +12,6 @@ treated as a miss and silently recomputed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -33,6 +32,10 @@ def cache_dir(explicit: Optional[str] = None) -> Path:
 
 
 def cache_key(operation: str, canonical_metric: str) -> str:
+    # Imported here, its only use: hashlib loads OpenSSL, a few MB of
+    # resident memory that importing the package should not cost.
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(operation.encode("utf-8"))
     digest.update(b"\x00")
@@ -48,7 +51,8 @@ def load(directory: Path, operation: str, canonical_metric: str) -> Optional[str
         with open(path, "r", encoding="utf-8") as handle:
             entry = json.load(handle)
         if (
-            entry.get("key") == key
+            isinstance(entry, dict)
+            and entry.get("key") == key
             and entry.get("tool_version") == TOOL_VERSION
             and entry.get("op") == operation
             and entry.get("metric") == canonical_metric

@@ -34,11 +34,8 @@ __all__ = [
     "format_scalar",
     "as_vector",
     "as_matrix",
-    "zeros",
     "identity",
     "dot",
-    "vec_scale",
-    "vec_add",
     "mat_vec",
     "mat_mul",
     "transpose",
@@ -112,10 +109,6 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
     return out
 
 
-def zeros(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
@@ -130,16 +123,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         if a and b:
             total += a * b
     return total
-
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in v)
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise DimensionError(f"adding lengths {len(u)} and {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def mat_vec(a: Matrix, x: Sequence[Fraction]) -> Vector:

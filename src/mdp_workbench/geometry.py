@@ -8,9 +8,14 @@ private mechanism built from them — linearly independent vertices carrying
 the unique all-positive weights that average back to the uniform prior.
 
 Everything in here is exact.  The two enumerations run a depth-first search
-over constraint subsets with an incremental integer row-echelon (fraction-free
-elimination with gcd normalisation), so the combinatorial core stays in
-machine integers until a candidate actually has to be solved.
+over subsets (of halfspaces, of vertices) with an incremental integer
+row-echelon: fraction-free elimination with gcd normalisation.  Every
+decision is taken in machine integers.  A vertex candidate is
+back-substituted in integers and tested against the halfspaces as an
+integer vector; a kernel candidate's echelon rows carry their integer
+combinations of the chosen vertices, so a vanishing residual of the uniform
+target is itself an integer certificate of the weights and their signs.
+Fractions are built only for accepted answers.
 
 Budgets: both enumerations refuse up front — with the bound and the limit in
 the exception — when the worst-case subset count exceeds the caller's limit.
@@ -27,14 +32,12 @@ from typing import Sequence
 from .exact import (
     Matrix,
     ONE,
-    Unique,
     Vector,
     ZERO,
     LPOptimal,
     LPProblem,
     lp_optimize,
     rank,
-    solve_linear_system,
 )
 from .mechanisms import Channel, Hyper, to_hyper, uniform_prior
 from .metrics import MetricSpace
@@ -143,9 +146,11 @@ def enumerate_vertices(
 
     Walks independent subsets of n-1 halfspace normals; each leaf pins the
     one-dimensional nullspace, which together with "sums to 1" is a single
-    candidate point, kept iff it satisfies every halfspace.  Strict
-    positivity of every accepted vertex is asserted (it is implied by the
-    constraint chains, so a failure would mean a bug, not bad input).
+    candidate point, kept iff it satisfies every halfspace.  The point is
+    back-substituted and tested in integers, and scaled to sum 1 only once
+    accepted.  Strict positivity of every accepted vertex is checked (it is
+    implied by the constraint chains, so a failure would mean a bug, not bad
+    input).
     """
     n = cs.n
     if n == 1:
@@ -168,20 +173,21 @@ def enumerate_vertices(
     ech_pivots: list = []
 
     def leaf():
+        # Back-substitute the nullspace vector in integers: before solving
+        # for a pivot, scale what is known by that pivot so it divides.  The
+        # scale is irrelevant to the tests below and the final Fractions
+        # reduce it, so no gcd is taken on the way.
         pivset = set(ech_pivots)
-        free = next(c for c in range(n) if c not in pivset)
-        delta = [ZERO] * n
-        delta[free] = ONE
+        u = [0] * n
+        u[next(c for c in range(n) if c not in pivset)] = 1
         for idx in range(n - 2, -1, -1):
             row = ech_rows[idx]
             p = ech_pivots[idx]
-            t = ZERO
-            for c, coef in enumerate(row):
-                if coef and c != p:
-                    t += coef * delta[c]
-            delta[p] = -t / row[p]
-        scale = math.lcm(*(d.denominator for d in delta))
-        u = [int(d * scale) for d in delta]
+            t = sum(coef * u[c] for c, coef in enumerate(row) if coef and c != p)
+            m = row[p]
+            if m != 1:
+                u = [m * v for v in u]
+            u[p] = -t
         total = sum(u)
         if total == 0:
             return
@@ -191,9 +197,9 @@ def enumerate_vertices(
         for i, j, p, q in checks:
             if q * u[i] > p * u[j]:
                 return
-        point = tuple(Fraction(v, total) for v in u)
-        assert all(v > 0 for v in point), "vertex with a non-positive coordinate"
-        found.add(point)
+        if any(v <= 0 for v in u):
+            raise AssertionError("vertex with a non-positive coordinate")
+        found.add(tuple(Fraction(v, total) for v in u))
 
     def dfs(start: int):
         if len(ech_rows) == n - 1:
@@ -222,11 +228,18 @@ def enumerate_kernels(
     """All kernels over the given vertex list, in canonical order.
 
     Searches vertex subsets depth-first in index order, keeping an integer
-    echelon of the chosen vertices plus the uniform target reduced against
-    it.  The moment the target enters the span, the subset is solved for its
-    (unique, by independence) weights and recorded iff they are all strictly
-    positive; either way no superset is explored — a strict superset would
-    assign the extra vertices weight zero, so none of them can be kernels.
+    echelon of the chosen vertices' primitive integer multiples ``ivec``.
+    Each echelon row also carries its integer combination of the chosen
+    ``ivec``s, and the uniform target is reduced alongside as a residual
+    ``d*1 - sum(a_j * ivec_j)`` that carries its ``(d, a)``; ``d`` stays
+    positive because every pivot is.  The moment the residual vanishes, the
+    integer identity ``sum(a_j * ivec_j) = d*1`` certifies the subset's
+    unique (by independence) weights ``a_j * sum(ivec_j) / (d * n)`` (a
+    vertex sums to 1, so ``ivec_j = sum(ivec_j) * v_j``), and the subset is
+    a kernel iff every ``a_j > 0``.  Fractions are built for accepted
+    subsets only.  Either way no superset is explored — a strict superset
+    would assign the extra vertices weight zero, so none of them can be
+    kernels.
     """
     n = space.n
     V = len(vertices)
@@ -238,33 +251,38 @@ def enumerate_kernels(
             raise ValueError("vertex length does not match the space")
         scale = math.lcm(*(x.denominator for x in v))
         ivecs.append(_gcd_normalise([int(x * scale) for x in v]))
+    sums = [sum(ivec) for ivec in ivecs]
 
-    uniform = (Fraction(1, n),) * n
     kernels: list[Hyper] = []
+    # Rows are length 2n, ``[x | k]`` with ``x + sum(k_j * ivec_j) = 0``:
+    # the reduced vector, then minus its combination of the chosen ivecs,
+    # indexed by depth.  The residual ``[x | a | d]`` reads
+    # ``x + sum(a_j * ivec_j) = d*1``; both identities survive elimination.
     ech_rows: list = []
     ech_pivots: list = []
     chosen: list = []
 
-    def solve_weights():
-        cols = [vertices[i] for i in chosen]
-        a = tuple(tuple(col[x] for col in cols) for x in range(n))
-        sol = solve_linear_system(a, uniform)
-        if not isinstance(sol, Unique):  # pragma: no cover - span was verified
-            raise AssertionError("kernel weight system was not uniquely solvable")
-        if all(w > 0 for w in sol.x):
-            kernels.append(
-                Hyper(
-                    space.labels,
-                    tuple(sol.x),
-                    tuple(vertices[i] for i in chosen),
-                )
+    def accept(resid: list):
+        d = resid[-1]
+        a = resid[n : n + len(chosen)]
+        if any(x <= 0 for x in a):
+            return
+        kernels.append(
+            Hyper(
+                space.labels,
+                tuple(Fraction(x * sums[v], d * n) for x, v in zip(a, chosen)),
+                tuple(vertices[v] for v in chosen),
             )
+        )
 
     def dfs(start: int, resid: list):
+        depth = len(chosen)
         for v in range(start, V):
-            row = _reduce_against(list(ivecs[v]), ech_rows, ech_pivots)
+            row = ivecs[v] + [0] * n
+            row[n + depth] = -1
+            row = _reduce_against(row, ech_rows, ech_pivots)
             piv = _first_nonzero(row)
-            if piv is None:
+            if piv >= n:  # the vector part reduced to zero: dependent
                 continue
             if row[piv] < 0:
                 row = [-x for x in row]
@@ -273,20 +291,21 @@ def enumerate_kernels(
             chosen.append(v)
             c = resid[piv]
             if c:
-                new_resid = _gcd_normalise(
-                    [row[piv] * a - c * b for a, b in zip(resid, row)]
-                )
+                m = row[piv]
+                new_resid = [m * x - c * y for x, y in zip(resid, row)]
+                new_resid.append(m * resid[-1])
+                new_resid = _gcd_normalise(new_resid)
             else:
                 new_resid = resid
-            if not any(new_resid):
-                solve_weights()
-            elif len(chosen) < n:
+            if not any(new_resid[:n]):
+                accept(new_resid)
+            elif depth + 1 < n:
                 dfs(v + 1, new_resid)
             chosen.pop()
             ech_rows.pop()
             ech_pivots.pop()
 
-    dfs(0, [1] * n)
+    dfs(0, [1] * n + [0] * n + [1])
     kernels.sort(key=lambda h: (h.inners, h.outers))
     return tuple(kernels)
 
@@ -367,7 +386,8 @@ def anti_refine(channel: Channel, vertices: Sequence[Vector]) -> Hyper:
         tuple(weight[v] for v in sorted(weight)),
         tuple(vertices[v] for v in sorted(weight)),
     )
-    assert result.expected_inner() == (Fraction(1, n),) * n
+    if result.expected_inner() != (Fraction(1, n),) * n:
+        raise AssertionError("anti-refinement does not average to the uniform prior")
     return result
 
 
@@ -378,7 +398,7 @@ def decompose_vertex_mechanism(hyper: Hyper, kernels: Sequence[Hyper]) -> tuple:
     Greedy and deterministic: at each step take the first kernel (canonical
     order) whose posteriors all still carry mass, and remove as much of it as
     possible.  Every step zeroes at least one posterior's remaining mass, so
-    the loop ends; the exact reconstruction is asserted before returning.
+    the loop ends; the exact reconstruction is checked before returning.
     """
     n = len(hyper.x_labels)
     if hyper.expected_inner() != (Fraction(1, n),) * n:
@@ -409,14 +429,13 @@ def decompose_vertex_mechanism(hyper: Hyper, kernels: Sequence[Hyper]) -> tuple:
             remaining[inner] -= t * w
         parts.append((t, k))
 
-    total = sum(t for t, _ in parts)
-    assert total == 1, "decomposition weights do not sum to 1"
+    if sum(t for t, _ in parts) != 1:
+        raise AssertionError("decomposition weights do not sum to 1")
     rebuilt: dict = {}
     for t, k in parts:
         for inner, w in zip(k.inners, k.outers):
             rebuilt[inner] = rebuilt.get(inner, ZERO) + t * w
     original = dict(zip(hyper.inners, hyper.outers))
-    assert {i: w for i, w in rebuilt.items() if w} == original, (
-        "decomposition does not rebuild the mechanism exactly"
-    )
+    if {i: w for i, w in rebuilt.items() if w} != original:
+        raise AssertionError("decomposition does not rebuild the mechanism exactly")
     return tuple(parts)

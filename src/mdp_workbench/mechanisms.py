@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .exact import Matrix, ONE, Vector, ZERO, as_matrix, as_vector, parse_scalar
@@ -118,7 +119,7 @@ class Hyper:
         if len(self.outers) != len(self.inners):
             raise ValueError("outer/inner count mismatch")
         n = len(self.x_labels)
-        merged: dict = {}
+        pairs = []
         order = ZERO
         for w, inner in zip(self.outers, self.inners):
             if w < 0:
@@ -132,14 +133,23 @@ class Hyper:
                 raise ValueError("negative posterior entry")
             if sum(inner) != 1:
                 raise ValueError("posterior does not sum to 1")
-            merged[inner] = merged.get(inner, ZERO) + w
+            pairs.append((inner, w))
             order += w
         if order != 1:
             raise ValueError(f"outers sum to {order}, not 1")
-        inners = tuple(sorted(merged))
-        outers = tuple(merged[i] for i in inners)
-        object.__setattr__(self, "inners", inners)
-        object.__setattr__(self, "outers", outers)
+        # Sort and merge runs of equal posteriors: comparing Fractions is
+        # far cheaper than hashing them for a dict.
+        pairs.sort(key=itemgetter(0))
+        inners: list = []
+        outers: list = []
+        for inner, w in pairs:
+            if inners and inners[-1] == inner:
+                outers[-1] += w
+            else:
+                inners.append(inner)
+                outers.append(w)
+        object.__setattr__(self, "inners", tuple(inners))
+        object.__setattr__(self, "outers", tuple(outers))
 
     @property
     def support_size(self) -> int:

@@ -442,6 +442,8 @@ def metric_to_json(space: MetricSpace) -> dict:
 
 
 def metric_from_json(data: Mapping) -> MetricSpace:
+    if not isinstance(data, Mapping):
+        raise ValueError("a metric must be a JSON object")
     kind = data.get("kind")
     kwargs: dict = {
         "base": data.get("base", "1"),

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mdp_workbench
 from mdp_workbench import (
     channel_to_json,
     geometric_truncated,
@@ -323,6 +327,12 @@ def test_bad_metric_fields(tmp_path, capsys):
     assert main(["vertices", "--metric", m]) == 2
 
 
+def test_metric_that_is_not_an_object(tmp_path, capsys):
+    m = _write(tmp_path, "list.json", [])
+    assert main(["vertices", "--metric", m]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_threads_must_be_positive(tmp_path, capsys):
     m = _metric(tmp_path, kind="line", n=3, base="2")
     assert main(["vertices", "--metric", m, "--threads", "0"]) == 2
@@ -384,6 +394,30 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
         (cache_dir / name).write_text("not json at all", encoding="utf-8")
     assert main(argv) == 0
     assert capsys.readouterr().out == fresh
+
+
+def test_non_object_cache_entry_is_a_miss(tmp_path, capsys):
+    m = _metric(tmp_path, kind="line", n=3, base="2")
+    cache_dir = tmp_path / "c"
+    argv = ["vertices", "--metric", m, "--format", "json", "--cache-dir", str(cache_dir)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    for name in os.listdir(cache_dir):
+        (cache_dir / name).write_text("[]", encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
+
+
+def test_importing_the_package_does_not_load_hashlib():
+    src = str(Path(mdp_workbench.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, mdp_workbench, mdp_workbench.cli; print('hashlib' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_cache_distinguishes_metrics(tmp_path, capsys):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_dx_channel, space_and_kernels
+from mdp_workbench import geometry
 from mdp_workbench import (
     Channel,
+    ConstraintSystem,
+    LPOptimal,
+    Unique,
     EnumerationBudgetExceeded,
     Hyper,
     anti_refine,
@@ -27,7 +32,9 @@ from mdp_workbench import (
     make_metric,
     random_response,
     random_response_dual,
+    rank,
     refines,
+    solve_linear_system,
     to_hyper,
     trivial_channel,
     uniform_prior,
@@ -300,3 +307,119 @@ def test_kernels_pairwise_unrelated_by_refinement():
         for j, b in enumerate(channels):
             if i != j:
                 assert refines(a, b) is None
+
+
+# -- differential tests against brute force ----------------------------------
+
+
+def _random_custom_metric(rng, n):
+    """Shortest-path metric of a random connected weighted graph."""
+    inf = 10 * n
+    dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for k in range(1, n):
+        j = rng.randrange(k)
+        dist[k][j] = dist[j][k] = rng.randint(1, 3)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2)
+        dist[i][j] = dist[j][i] = rng.randint(1, 3)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    base = rng.choice(["2", "3/2", "5/4", "3"])
+    return make_metric("custom", distances=[[str(d) for d in r] for r in dist], base=base)
+
+
+def _brute_force_kernels(space, vertices):
+    """Every independent vertex subset whose weights averaging to uniform are
+    all positive, solved by the Fraction Gauss-Jordan."""
+    n = space.n
+    uniform = (F(1, n),) * n
+    found = []
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(vertices, size):
+            if rank(subset) != size:
+                continue
+            cols = tuple(tuple(v[x] for v in subset) for x in range(n))
+            sol = solve_linear_system(cols, uniform)
+            if isinstance(sol, Unique) and all(w > 0 for w in sol.x):
+                found.append(Hyper(space.labels, sol.x, subset))
+    return tuple(sorted(found, key=lambda h: (h.inners, h.outers)))
+
+
+def _brute_force_vertices(cs):
+    """Every point pinned by n-1 halfspaces and the simplex equation that
+    satisfies all halfspaces."""
+    n = cs.n
+    found = set()
+    for subset in itertools.combinations(cs.halfspaces, n - 1):
+        rows = []
+        for i, j, f in subset:
+            row = [F(0)] * n
+            row[i] += 1
+            row[j] -= f
+            rows.append(tuple(row))
+        rows.append((F(1),) * n)
+        sol = solve_linear_system(tuple(rows), (F(0),) * (n - 1) + (F(1),))
+        if isinstance(sol, Unique) and is_polytope_point(cs, sol.x):
+            found.add(sol.x)
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernels_match_brute_force_on_random_metrics(seed):
+    sp = _random_custom_metric(random.Random(seed), 4)
+    vs = enumerate_vertices(build_constraints(sp))
+    assert enumerate_kernels(sp, vs) == _brute_force_kernels(sp, vs)
+
+
+@pytest.mark.parametrize("seed,n", [(s, 4) for s in range(6)] + [(s, 5) for s in range(3)])
+def test_vertices_match_brute_force_on_random_metrics(seed, n):
+    cs = build_constraints(_random_custom_metric(random.Random(100 + seed), n))
+    assert enumerate_vertices(cs) == _brute_force_vertices(cs)
+
+
+# -- result checks raise even under python -O ---------------------------------
+
+
+def test_vertex_positivity_is_checked():
+    # delta[0] <= 0 * delta[1] pins the vertex (0, 1)
+    cs = ConstraintSystem(n=2, halfspaces=((0, 1, F(0)),))
+    with pytest.raises(AssertionError, match="non-positive"):
+        enumerate_vertices(cs)
+
+
+def test_anti_refine_barycentre_is_checked(monkeypatch):
+    sp, vs, _ = space_and_kernels("line", 3)
+
+    def first_vertex(problem):
+        return LPOptimal(value=F(0), point=(F(1),) + (F(0),) * (len(vs) - 1))
+
+    monkeypatch.setattr(geometry, "lp_optimize", first_vertex)
+    with pytest.raises(AssertionError, match="uniform prior"):
+        anti_refine(geometric_truncated(3, "1/2"), vs)
+
+
+def _tampered(hyper, **fields):
+    # Hyper's constructor would reject these; results must be checked anyway.
+    clone = Hyper(hyper.x_labels, hyper.outers, hyper.inners)
+    for name, value in fields.items():
+        object.__setattr__(clone, name, value)
+    return clone
+
+
+def test_decomposition_weight_sum_is_checked():
+    _, _, kernels = space_and_kernels("line", 3)
+    k = kernels[0]
+    doubled = _tampered(k, outers=tuple(2 * o for o in k.outers))
+    with pytest.raises(AssertionError, match="sum to 1"):
+        decompose_vertex_mechanism(k, [doubled])
+
+
+def test_decomposition_rebuild_is_checked():
+    _, vs, kernels = space_and_kernels("line", 3)
+    k = kernels[0]
+    extra = next(v for v in vs if v not in k.inners)
+    padded = _tampered(k, outers=k.outers + (F(0),), inners=k.inners + (extra,))
+    with pytest.raises(AssertionError, match="rebuild"):
+        decompose_vertex_mechanism(padded, kernels)

@@ -190,6 +190,11 @@ def test_hyper_drops_zero_outers_and_sorts():
     h = to_hyper(ch, uniform_prior(("0", "1")))
     assert len(h.outers) == 2
     assert h.inners == tuple(sorted(h.inners))
+    # equal posteriors that are not adjacent in the input are merged
+    a, b, c = (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)), (F(2, 3), F(1, 3))
+    h = Hyper(("0", "1"), (F(1, 8), F(1, 4), F(0), F(1, 8), F(1, 2)), (c, a, b, c, a))
+    assert h.inners == (a, c)
+    assert h.outers == (F(3, 4), F(1, 4))
 
 
 def test_from_hyper_inverts_fig_hyper():
