@@ -142,19 +142,25 @@ def refines(b: Channel, a: Channel) -> Optional[Channel]:
     rows = tuple(
         tuple(res.point[yb * na + ya] for ya in range(na)) for yb in range(nb)
     )
-    witness = Channel(b.y_labels, a.y_labels, rows)
-    assert mat_mul(b.rows, rows) == a.rows, "refinement witness failed re-check"
-    return witness
+    if mat_mul(b.rows, rows) != a.rows:
+        raise AssertionError("refinement witness failed re-check")
+    return Channel(b.y_labels, a.y_labels, rows)
 
 
 def mult_capacity_channel(channel: Channel) -> Fraction:
     """Sum of column maxima — the worst-case multiplicative leakage factor."""
-    return sum(max(channel.column(j)) for j in range(len(channel.y_labels)))
+    return sum(max(column) for column in zip(*channel.rows))
 
 
 def add_capacity_channel(channel: Channel) -> Fraction:
     """One minus the sum of column minima — the worst-case additive leak."""
-    return 1 - sum(min(channel.column(j)) for j in range(len(channel.y_labels)))
+    return 1 - sum(min(column) for column in zip(*channel.rows))
+
+
+def _capacity_score(channel: Channel, mode: str) -> Fraction:
+    if mode == "mult":
+        return mult_capacity_channel(channel)
+    return add_capacity_channel(channel)
 
 
 @dataclass(frozen=True)
@@ -366,20 +372,18 @@ def type_capacity_lp(
         active.sort()
 
     trace = res.value
-    rows = tuple(
-        tuple(x[orbit_of[i * n + j]] for j in range(n)) for i in range(n)
-    )
+    entries = [x[t] for t in orbit_of]
+    rows = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
     witness = Channel(space.labels, tuple(f"y{j}" for j in range(n)), rows)
-    report = check_dx_private(witness, space)
-    assert report.ok, "capacity witness failed the privacy re-check"
-    assert sum(rows[i][i] for i in range(n)) == trace
+    if not check_dx_private(witness, space).ok:
+        raise AssertionError("capacity witness failed the privacy re-check")
+    if sum(rows[i][i] for i in range(n)) != trace:
+        raise AssertionError("capacity witness trace differs from the LP optimum")
     value = trace if mode == "mult" else 1 - trace
     # The witness's own capacity score must hit the programme's optimum on
     # the nose: >= is forced by the diagonal, <= by privacy of the witness.
-    if mode == "mult":
-        assert mult_capacity_channel(witness) == value
-    else:
-        assert add_capacity_channel(witness) == value
+    if _capacity_score(witness, mode) != value:
+        raise AssertionError("capacity witness score differs from the LP optimum")
     return CapacityReport(
         mode=mode,
         method="lp",
@@ -394,7 +398,7 @@ def type_capacity_closed_form(space: MetricSpace, mode: str) -> CapacityReport:
 
     The witness channel is the known optimal mechanism (the truncated
     geometric on the line; the response channel or its dual on the discrete
-    space), and the formula value is asserted against the witness's own
+    space), and the formula value is checked against the witness's own
     capacity before being returned.
     """
     if mode not in ("mult", "add"):
@@ -407,22 +411,21 @@ def type_capacity_closed_form(space: MetricSpace, mode: str) -> CapacityReport:
             raise ValueError("line closed form needs n >= 2")
         if mode == "mult":
             value = (n * (b - 1) + 2) / (b + 1)
-            assert mult_capacity_channel(witness) == value
         else:
             value = add_capacity_channel(witness)
     elif space.kind == "discrete":
         if mode == "mult":
             witness = random_response(n, 1 / b)
             value = Fraction(n) * b / (b + n - 1)
-            assert mult_capacity_channel(witness) == value
         else:
             witness = random_response_dual(n, 1 / b)
             value = 1 - Fraction(n) / (1 + (n - 1) * b)
-            assert add_capacity_channel(witness) == value
     else:
         raise ValueError(
             f"no closed form for kind {space.kind!r}; use type_capacity_lp"
         )
+    if _capacity_score(witness, mode) != value:
+        raise AssertionError("closed-form capacity differs from its witness's score")
     witness = Channel(space.labels, witness.y_labels, witness.rows)
     return CapacityReport(
         mode=mode,

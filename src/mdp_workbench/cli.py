@@ -183,6 +183,35 @@ def _kernels_payload(space: MetricSpace, kernels) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _vertices_from(obj, space: MetricSpace) -> tuple:
+    vertices = tuple(tuple(Fraction(v) for v in vec) for vec in obj["vertices"])
+    if any(len(vec) != space.n for vec in vertices):
+        raise ValueError("cached vertex of the wrong length")
+    return vertices
+
+
+def _kernels_from(obj, space: MetricSpace) -> tuple:
+    return tuple(
+        Hyper(
+            space.labels,
+            tuple(Fraction(o) for o in item["outers"]),
+            tuple(tuple(Fraction(v) for v in inner) for inner in item["inners"]),
+        )
+        for item in obj["kernels"]
+    )
+
+
+def _parse_hit(hit: Optional[str], build, space: MetricSpace):
+    """``build`` applied to a cached payload's JSON, or None when there is
+    no payload or it lacks the shape a fresh run writes (a miss)."""
+    if hit is None:
+        return None
+    try:
+        return build(json.loads(hit), space)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
 def _cached_vertices(space: MetricSpace, args, limit: Optional[int]):
     """-> (vertices, payload string); honours the cache unless --no-cache.
 
@@ -195,11 +224,8 @@ def _cached_vertices(space: MetricSpace, args, limit: Optional[int]):
         ensure_vertex_budget(build_constraints(space), limit)
     if not args.no_cache:
         hit = cache.load(directory, "vertices", canonical)
-        if hit is not None:
-            obj = json.loads(hit)
-            vertices = tuple(
-                tuple(Fraction(v) for v in vec) for vec in obj["vertices"]
-            )
+        vertices = _parse_hit(hit, _vertices_from, space)
+        if vertices is not None:
             return vertices, hit
     kwargs = {} if limit is None else {"limit": limit}
     vertices = enumerate_vertices(build_constraints(space), **kwargs)
@@ -223,16 +249,8 @@ def _cached_kernels(space: MetricSpace, args, limit: Optional[int]):
         ensure_kernel_budget(len(vertices), space.n, limit)
     if not args.no_cache:
         hit = cache.load(directory, "kernels", canonical)
-        if hit is not None:
-            obj = json.loads(hit)
-            kernels = tuple(
-                Hyper(
-                    space.labels,
-                    tuple(Fraction(o) for o in item["outers"]),
-                    tuple(tuple(Fraction(v) for v in inner) for inner in item["inners"]),
-                )
-                for item in obj["kernels"]
-            )
+        kernels = _parse_hit(hit, _kernels_from, space)
+        if kernels is not None:
             return kernels, hit
     if vertices is None:
         vertices, _ = _cached_vertices(space, args, None)

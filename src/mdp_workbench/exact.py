@@ -5,10 +5,13 @@ Every quantity in this package is an arbitrary-precision rational
 is parsed exactly, irrational values elsewhere are rounded *once* to a stated
 number of significant digits and kept as rationals from then on.
 
-The linear-programming solver is a plain dense two-phase simplex with Bland's
-anti-cycling rule.  It is deliberately simple — every consumer in this package
-has at most a few hundred variables — and deterministic: the same problem
-yields the same optimal basic solution, bit for bit.
+The linear-programming solver is a dense two-phase simplex on a
+fraction-free integer tableau (Bareiss pivoting over a common determinant),
+with Dantzig's entering rule and a Bland fallback on degenerate stalls.  It is
+deterministic — the same problem yields the same optimal basic solution, bit
+for bit — and every optimum it returns is certified first: the point against
+the stated problem, and the row multipliers read off the final cost row as a
+dual solution with the same objective value.
 
 >>> from fractions import Fraction
 >>> parse_scalar("0.25")
@@ -19,8 +22,9 @@ Fraction(-2, 3)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -239,7 +243,8 @@ def solve_linear_system(a: Matrix, b: Sequence[Fraction]) -> LinearOutcome:
 
 
 # --------------------------------------------------------------------------
-# Linear programming: dense two-phase simplex, Bland's rule.
+# Linear programming: two-phase simplex on a fraction-free integer tableau,
+# with an exact primal and dual check of every optimum it returns.
 # --------------------------------------------------------------------------
 
 
@@ -291,106 +296,96 @@ class SimplexIterationLimit(RuntimeError):
     """
 
 
-# After this many pivots without the objective moving, the step rule drops
-# from Dantzig to Bland until progress resumes (see _simplex_phase).
+# After this many pivots without the objective moving, the entering rule
+# drops from Dantzig to Bland until progress resumes (see _Tableau.run).
 _STALL_LIMIT = 20
 
 
-def _ratio_test(
-    rows: list[list[Fraction]], basis: list[int], enter: int
-) -> int:
-    """Leaving row for the entering column: minimal ratio, ties broken by the
-    smallest basic-variable index (the Bland tie-break, harmless otherwise)."""
-    leave = -1
-    best_ratio = None
-    for i, row in enumerate(rows):
-        coef = row[enter]
-        if coef > 0:
-            ratio = row[-1] / coef
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[i] < basis[leave])
-            ):
-                best_ratio = ratio
-                leave = i
-    return leave
+class _Tableau:
+    """The integer tableau ``det * B^-1 [A | b]`` of a basis ``B`` of integer
+    rows ``[A | b]``; the last row is the cost row, carried the same way.
 
-
-def _bland_step(
-    rows: list[list[Fraction]],
-    cost: list[Fraction],
-    basis: list[int],
-    enterable: int,
-) -> "tuple[int, int] | str":
-    """One simplex ratio test under Bland's rule.
-
-    Entering variable: the smallest column index < ``enterable`` with a
-    negative reduced cost.  Returns (row, col), or ``"optimal"`` /
-    ``"unbounded"``.  Never cycles.
+    Every entry is a minor of the starting rows, so the Bareiss pivot
+    divides exactly (Edmonds 1967; Bareiss 1968), and ``det`` is kept
+    positive.  A pivot replaces rows and never changes one in place, so a
+    caller may keep the starting rows by reference.
     """
-    enter = -1
-    for j in range(enterable):
-        if cost[j] < 0:
-            enter = j
-            break
-    if enter < 0:
-        return "optimal"
-    leave = _ratio_test(rows, basis, enter)
-    if leave < 0:
-        return "unbounded"
-    return leave, enter
 
+    __slots__ = ("rows", "basis", "det", "pivots_left", "limit")
 
-def _dantzig_step(
-    rows: list[list[Fraction]],
-    cost: list[Fraction],
-    basis: list[int],
-    enterable: int,
-) -> "tuple[int, int] | str":
-    """Most-negative-reduced-cost entering rule: far fewer pivots than Bland
-    in practice, but no termination guarantee of its own, so the caller must
-    watch for stalls."""
-    enter = -1
-    best = ZERO
-    for j in range(enterable):
-        c = cost[j]
-        if c < best:
-            best = c
-            enter = j
-    if enter < 0:
-        return "optimal"
-    leave = _ratio_test(rows, basis, enter)
-    if leave < 0:
-        return "unbounded"
-    return leave, enter
+    def __init__(self, rows: list, basis: list, limit: int):
+        self.rows, self.basis, self.det = rows, basis, 1
+        self.pivots_left = self.limit = limit
 
-
-def _pivot(
-    rows: list[list[Fraction]],
-    cost: list[Fraction],
-    basis: list[int],
-    r: int,
-    c: int,
-) -> None:
-    prow = rows[r]
-    piv = prow[c]
-    if piv != 1:
-        inv = ONE / piv
-        rows[r] = prow = [v * inv for v in prow]
-    # Only touch the pivot row's nonzero columns: the tableaus here start out
-    # extremely sparse and bignum no-op subtractions are not free.
-    nz = [j for j, v in enumerate(prow) if v]
-    for i, row in enumerate(rows):
-        if i != r and row[c]:
+    def pivot(self, r: int, c: int) -> None:
+        """Bring column ``c`` into the basis at row ``r``: every other row
+        becomes ``(p * row - row[c] * rows[r]) // det``, and ``det`` becomes
+        the pivot entry ``p``."""
+        rows, det = self.rows, self.det
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
             f = row[c]
-            for j in nz:
-                row[j] -= f * prow[j]
-    if cost[c]:
-        f = cost[c]
-        for j in nz:
-            cost[j] -= f * prow[j]
-    basis[r] = c
+            if f:
+                rows[i] = [(p * a - f * b) // det for a, b in zip(row, prow)]
+            elif p != det:
+                rows[i] = [a * p // det if a else 0 for a in row]
+        if p < 0:  # only an artificial drive-out pivots on a negative entry
+            rows[:] = [[-a for a in row] for row in rows]
+            p = -p
+        self.det = p
+        self.basis[r] = c
+
+    def run(self, weight: Sequence[int], phase: int) -> bool:
+        """Pivot until no column in ``weight``'s range prices in (True), or
+        until an entering column has no leaving row (False: unbounded).
+
+        Entering column: the most negative reduced cost, each weighted by
+        its column's scale so the choice is the one an unscaled tableau
+        makes (Dantzig); after _STALL_LIMIT pivots without the objective
+        moving, the first negative one until it moves again (Bland), so a
+        degenerate plateau cannot cycle.  Leaving row: the least ratio,
+        ties to the smallest basic column.  Comparisons cross-multiply.
+        """
+        rows, basis = self.rows, self.basis
+        stall = 0
+        while True:
+            cost = rows[-1]
+            enter, best, bland = -1, 0, stall >= _STALL_LIMIT
+            for j, w in enumerate(weight):
+                v = cost[j]
+                if v < 0:
+                    if bland:
+                        enter = j
+                        break
+                    v *= w
+                    if v < best:
+                        enter, best = j, v
+            if enter < 0:
+                return True
+            leave = -1
+            for i, b in enumerate(basis):
+                row = rows[i]
+                a = row[enter]
+                if a > 0:
+                    rhs = row[-1]
+                    if leave >= 0:
+                        cross = rhs * best_a - best_rhs * a
+                        if cross > 0 or (cross == 0 and b > basis[leave]):
+                            continue
+                    leave, best_a, best_rhs = i, a, rhs
+            if leave < 0:
+                return False
+            if self.pivots_left == 0:
+                raise SimplexIterationLimit(
+                    f"simplex exceeded {self.limit} pivots (phase {phase})"
+                )
+            self.pivots_left -= 1
+            before, det = cost[-1], self.det
+            self.pivot(leave, enter)
+            stall = stall + 1 if rows[-1][-1] * det == before * self.det else 0
 
 
 def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutcome:
@@ -401,6 +396,11 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
     :class:`SimplexIterationLimit` if the pivot budget is exhausted first.
     Pivoting is Dantzig's rule with a Bland fallback on degenerate stalls, so
     the budget only runs out on genuinely huge inputs, never on a cycle.
+
+    An optimum is certified before it is returned: the point is checked
+    against the stated problem, and the multipliers read off the final cost
+    row are checked to be dual feasible with the same objective value.  A
+    failed check raises ``AssertionError``.
     """
     n = len(problem.objective)
     if problem.lower_bounds is not None and len(problem.lower_bounds) != n:
@@ -409,7 +409,8 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
         raise DimensionError("eq rows/rhs mismatch")
     if len(problem.ub_rows) != len(problem.ub_rhs):
         raise DimensionError("ub rows/rhs mismatch")
-    for row in list(problem.eq_rows) + list(problem.ub_rows):
+    constraints = list(problem.eq_rows) + list(problem.ub_rows)
+    for row in constraints:
         if len(row) != n:
             raise DimensionError("constraint row width mismatch")
 
@@ -425,31 +426,9 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
         if lb is None:
             neg[j] = next_col
             next_col += 1
-    n_slack = len(problem.ub_rows)
-    width = next_col + n_slack  # structural + slack columns
+    n_eq = len(problem.eq_rows)
+    width = next_col + len(problem.ub_rows)  # structural + slack columns
 
-    def transform_row(row: Sequence[Fraction], rhs: Fraction) -> tuple[list[Fraction], Fraction]:
-        out = [ZERO] * width
-        for j, coef in enumerate(row):
-            if coef:
-                out[pos[j]] = coef
-                if neg[j] >= 0:
-                    out[neg[j]] = -coef
-        return out, rhs - dot(row, shift)
-
-    rows: list[list[Fraction]] = []
-    rhss: list[Fraction] = []
-    for row, rhs in zip(problem.eq_rows, problem.eq_rhs):
-        t, r = transform_row(row, rhs)
-        rows.append(t)
-        rhss.append(r)
-    for k, (row, rhs) in enumerate(zip(problem.ub_rows, problem.ub_rhs)):
-        t, r = transform_row(row, rhs)
-        t[next_col + k] = ONE
-        rows.append(t)
-        rhss.append(r)
-
-    m = len(rows)
     sense = -1 if problem.maximize else 1  # internally always minimize
     obj = [ZERO] * width
     for j, coef in enumerate(problem.objective):
@@ -458,133 +437,92 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
             if neg[j] >= 0:
                 obj[neg[j]] -= sense * coef
 
-    if m == 0:
-        # Only bounds.  Any objective direction with a push is unbounded
-        # (positive costs pinned at the bound, negatives run away).
-        if any(c < 0 for c in obj) or any(
-            obj[neg[j]] < 0 for j in range(n) if neg[j] >= 0
-        ):
-            return LP_UNBOUNDED
-        x = tuple(shift)
-        return LPOptimal(dot(problem.objective, x), x)
+    m = len(constraints)
 
-    # Phase 1: minimize the artificial mass.  A ub row whose rhs is already
-    # nonnegative keeps its +1 slack as the starting basic variable, so
-    # artificials are only spent on equality rows and sign-flipped rows.
-    n_eq = len(problem.eq_rows)
-    signed_rows = []
-    signed_rhss = []
-    art_of = [-1] * m
-    art_count = 0
-    basis = [0] * m
-    for i in range(m):
-        row = list(rows[i])
-        rhs = rhss[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        if i >= n_eq and row[next_col + (i - n_eq)] == ONE:
-            basis[i] = next_col + (i - n_eq)
-        else:
-            art_of[i] = art_count
-            art_count += 1
-        signed_rows.append(row)
-        signed_rhss.append(rhs)
-    tableau = []
-    for i in range(m):
-        art = [ZERO] * art_count
-        if art_of[i] >= 0:
-            art[art_of[i]] = ONE
-            basis[i] = width + art_of[i]
-        tableau.append(signed_rows[i] + art + [signed_rhss[i]])
-    cost = [ZERO] * (width + art_count + 1)
-    for i in range(m):
-        if art_of[i] >= 0:
-            cost = [a - b for a, b in zip(cost, tableau[i])]
-    for j in range(width, width + art_count):
-        cost[j] = ZERO
+    # Starting rows: each constraint in the transformed variables with its
+    # rhs made nonnegative, scaled to integers by the lcm of its
+    # denominators.  A ub row whose rhs was already nonnegative starts with
+    # its slack basic, and every other row with an artificial.  Both stay
+    # unit columns, so a slack's variable is its row's scale times the
+    # slack, and `weight` prices it back at the slack's own reduced cost.
+    rhss = list(problem.eq_rhs) + list(problem.ub_rhs)
+    if any(shift):
+        rhss = [rhs - dot(row, shift) for row, rhs in zip(constraints, rhss)]
+    art_rows = [i for i, rhs in enumerate(rhss) if i < n_eq or rhs < 0]
+    ncols = width + len(art_rows)
+    unit = [next_col + i - n_eq for i in range(m)]  # ub rows' slacks
+    for k, i in enumerate(art_rows):
+        unit[i] = width + k
+    weight = [1] * width
+    start, scales = [], []
+    for i, (row, rhs) in enumerate(zip(constraints, rhss)):
+        coefs = {}
+        for j, coef in enumerate(row):
+            if coef:
+                coefs[pos[j]] = coef
+                if neg[j] >= 0:
+                    coefs[neg[j]] = -coef
+        scale = lcm(rhs.denominator, *(c.denominator for c in coefs.values()))
+        signed = -scale if rhs < 0 else scale
+        t = [0] * (ncols + 1)
+        for j, c in coefs.items():
+            t[j] = c.numerator * (signed // c.denominator)
+        t[-1] = rhs.numerator * (signed // rhs.denominator)
+        if i >= n_eq:
+            t[next_col + i - n_eq] = -1 if rhs < 0 else 1
+            weight[next_col + i - n_eq] = scale
+        t[unit[i]] = 1
+        start.append(t)  # pivots replace rows, so these stay as they are
+        scales.append(scale)
 
-    pivots_left = iteration_limit
-    stall = 0
-    bland = False
-    while True:
-        chooser = _bland_step if bland else _dantzig_step
-        step = chooser(tableau, cost, basis, width)
-        if step == "optimal":
-            break
-        if step == "unbounded":  # pragma: no cover - phase 1 is bounded below
-            raise AssertionError("phase-1 objective cannot be unbounded")
-        if pivots_left == 0:
-            raise SimplexIterationLimit(
-                f"simplex exceeded {iteration_limit} pivots (phase 1)"
-            )
-        pivots_left -= 1
-        before = cost[-1]
-        _pivot(tableau, cost, basis, *step)
-        # Dantzig until the objective stalls, Bland until it moves again:
-        # every stalled plateau ends under Bland's no-cycling guarantee.
-        if cost[-1] == before:
-            stall += 1
-            bland = bland or stall >= _STALL_LIMIT
-        else:
-            stall = 0
-            bland = False
-
-    if -cost[-1] != 0:
+    # Phase 1 minimises the sum of the artificials.  An artificial is its
+    # row's scale times the unscaled one, so it is weighted by 1/scale;
+    # `big` clears those weights' denominators.
+    big = lcm(*(scales[i] for i in art_rows))
+    cost = [0] * (ncols + 1)
+    for i in art_rows:
+        f = big // scales[i]
+        cost = [c - f * v for c, v in zip(cost, start[i])]
+    cost[width:-1] = [0] * len(art_rows)
+    tab = _Tableau(start + [cost], list(unit), iteration_limit)
+    if not tab.run(weight, 1):  # pragma: no cover - phase 1 is bounded below
+        raise AssertionError("phase-1 objective cannot be unbounded")
+    if tab.rows[-1][-1]:
         return LP_INFEASIBLE
 
     # Drive any leftover (degenerate, value-zero) artificials out of the basis;
     # rows that offer no structural pivot are redundant and get dropped.
     keep: list[int] = []
     for i in range(m):
-        if basis[i] >= width:
-            target = None
-            for j in range(width):
-                if tableau[i][j]:
-                    target = j
-                    break
+        if tab.basis[i] >= width:
+            row = tab.rows[i]
+            target = next((j for j in range(width) if row[j]), None)
             if target is None:
                 continue  # redundant constraint row
-            _pivot(tableau, cost, basis, i, target)
+            tab.pivot(i, target)
         keep.append(i)
-    tableau = [tableau[i][:width] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
+    rows = [tab.rows[i] for i in keep]
+    basis = [tab.basis[i] for i in keep]
 
-    # Phase 2: true objective, reduced against the current basis.
-    cost = obj + [ZERO]
-    for row, b in zip(tableau, basis):
-        if cost[b]:
-            f = cost[b]
-            cost = [a - f * v for a, v in zip(cost, row)]
+    # Phase 2: the true objective, in integers, reduced against the basis.
+    scale = lcm(*(c.denominator for c in obj))
+    costs = [c.numerator * (scale // c.denominator) for c in obj]
+    cost = [tab.det * c for c in costs] + [0] * (len(art_rows) + 1)
+    for row, b in zip(rows, basis):
+        f = costs[b]
+        if f:
+            cost = [c - f * v for c, v in zip(cost, row)]
+    tab.rows, tab.basis = rows + [cost], basis
+    if not tab.run(weight, 2):
+        return LP_UNBOUNDED
 
-    stall = 0
-    bland = False
-    while True:
-        chooser = _bland_step if bland else _dantzig_step
-        step = chooser(tableau, cost, basis, width)
-        if step == "optimal":
-            break
-        if step == "unbounded":
-            return LP_UNBOUNDED
-        if pivots_left == 0:
-            raise SimplexIterationLimit(
-                f"simplex exceeded {iteration_limit} pivots (phase 2)"
-            )
-        pivots_left -= 1
-        before = cost[-1]
-        _pivot(tableau, cost, basis, *step)
-        if cost[-1] == before:
-            stall += 1
-            bland = bland or stall >= _STALL_LIMIT
-        else:
-            stall = 0
-            bland = False
-
-    y = [ZERO] * width
-    for row, b in zip(tableau, basis):
-        y[b] = row[-1]
+    det = tab.det
+    vals = [ZERO] * width
+    for row, b in zip(tab.rows, basis):
+        vals[b] = Fraction(row[-1], det)
     x = tuple(
-        shift[j] + y[pos[j]] - (y[neg[j]] if neg[j] >= 0 else ZERO) for j in range(n)
+        shift[j] + vals[pos[j]] - (vals[neg[j]] if neg[j] >= 0 else ZERO)
+        for j in range(n)
     )
 
     # Exact feasibility re-check: cheap insurance that the bookkeeping above
@@ -598,5 +536,24 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
     for j, lb in enumerate(lower):
         if lb is not None and x[j] < lb:
             raise AssertionError("simplex returned an infeasible point (bound)")
+
+    # Dual certificate, in the integers of the starting rows: the final cost
+    # row holds -det * y at each row's unit column, where y are the row
+    # multipliers times the objective's lcm.  They must price every column
+    # at or below its cost, and y . b must equal the point's value.
+    cost = tab.rows[-1]
+    reduced = [det * c for c in costs]
+    dual = 0
+    for row, u in zip(start, unit):
+        y = -cost[u]
+        if y:
+            dual += y * row[-1]
+            for j in range(width):
+                if row[j]:
+                    reduced[j] -= y * row[j]
+    if any(r < 0 for r in reduced):
+        raise AssertionError("simplex optimum failed its dual check (reduced cost)")
+    if dual != sum(costs[b] * row[-1] for row, b in zip(tab.rows, basis)):
+        raise AssertionError("simplex optimum failed its dual check (objective)")
 
     return LPOptimal(dot(problem.objective, x), x)

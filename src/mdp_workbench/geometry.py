@@ -355,10 +355,10 @@ def anti_refine(channel: Channel, vertices: Sequence[Vector]) -> Hyper:
     vertices, producing a vertex mechanism the channel refines.
 
     Each posterior is expressed as a convex combination of vertices by a
-    small exact feasibility LP (Bland's rule over the canonical vertex order,
-    so the result is deterministic).  Raises ``ValueError`` if a posterior
-    lies outside the vertex hull — i.e. the channel is not private for the
-    space those vertices came from.
+    small exact feasibility LP over the canonical vertex order (the simplex
+    is deterministic, so the result is too).  Raises ``ValueError`` if a
+    posterior lies outside the vertex hull — i.e. the channel is not private
+    for the space those vertices came from.
     """
     n = len(channel.x_labels)
     h = to_hyper(channel, uniform_prior(channel.x_labels))

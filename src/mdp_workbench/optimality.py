@@ -475,13 +475,15 @@ def check_universal_l_optimal(
             )
             if res is LP_INFEASIBLE:
                 continue  # no prior makes this strategy the kernel's best
-            assert isinstance(res, LPOptimal)
+            if not isinstance(res, LPOptimal):
+                raise AssertionError("a strategy cell's LP is unbounded")
             if res.value > 0:
                 prior = Prior(channel.x_labels, tuple(res.point[:n]))
                 gap = posterior_uncertainty(loss, prior, channel) - (
                     posterior_uncertainty(loss, prior, kc)
                 )
-                assert gap == res.value, "counterexample failed re-verification"
+                if gap != res.value:
+                    raise AssertionError("counterexample failed re-verification")
                 return Verdict(
                     "counterexample", prior=prior, rival=k, margin=gap
                 )

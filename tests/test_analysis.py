@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,7 +39,8 @@ from mdp_workbench import (
     type_capacity_lp,
     uniform_prior,
 )
-from mdp_workbench.exact import mat_mul
+from mdp_workbench import analysis
+from mdp_workbench.exact import LPOptimal, mat_mul
 
 F = Fraction
 
@@ -387,3 +389,113 @@ def test_capacity_bounds_are_tight_for_the_right_gain():
     before = _gain_vulnerability(gain, u)
     after = _gain_posterior_vulnerability(gain, u, ch)
     assert after == mult_capacity_channel(ch) * before
+
+
+def test_lp_witnesses_are_pinned():
+    # The witnesses the Fraction-tableau simplex gave, entry for entry: the
+    # integer tableau must make the same pivot choices.
+    def line(*rows):
+        return tuple(tuple(F(v) for v in row) for row in rows)
+
+    def grid(diag, far, other):
+        return tuple(
+            tuple(diag if i == j else far if i + j == 3 else other for j in range(4))
+            for i in range(4)
+        )
+
+    g = 266514414269022518865029724987
+    h = 316514414269022518865029724987
+    d = 766514414269022518865029724987
+    expected = {
+        ("line", "mult"): line(
+            ("2/3", "1/6", "1/12", "1/24", "1/24"),
+            ("1/3", "1/3", "1/6", "1/12", "1/12"),
+            ("1/6", "1/6", "1/3", "1/6", "1/6"),
+            ("1/12", "1/12", "1/6", "1/3", "1/3"),
+            ("1/24", "1/24", "1/12", "1/6", "2/3"),
+        ),
+        ("line", "add"): line(
+            ("1/8", 0, 0, 0, "7/8"),
+            ("1/4", 0, 0, 0, "3/4"),
+            ("1/2", 0, 0, 0, "1/2"),
+            ("3/4", 0, 0, 0, "1/4"),
+            ("7/8", 0, 0, 0, "1/8"),
+        ),
+        ("grid", "mult"): grid(F(g, 2 * h), F(5 * 10**28, h), F(g, 4 * h)),
+        ("grid", "add"): grid(F(10**29, d), F(g, d), F(2 * 10**29, d)),
+    }
+    spaces = {
+        "line": make_metric("line", n=5, base=2),
+        "grid": make_metric("grid", width=1, height=1, base=2),
+    }
+    for (kind, mode), rows in expected.items():
+        assert type_capacity_lp(spaces[kind], mode).witness.rows == rows
+
+
+def test_refines_witness_is_pinned():
+    # Phase 1 alone picks this witness (the objective is zero), so it pins
+    # the weighting of each artificial by its row's scale.
+    labels = ("x0", "x1")
+    b = Channel(labels, ("b0", "b1", "b2", "b3"), (
+        (F(1, 4), F(0), F(3, 8), F(3, 8)),
+        (F(3, 7), F(3, 7), F(1, 7), F(0)),
+    ))
+    a = Channel(labels, ("a0", "a1"), ((F(1, 2), F(1, 2)), (F(9, 14), F(5, 14))))
+    assert refines(b, a).rows == (
+        (F(1, 2), F(1, 2)), (F(1), F(0)), (F(0), F(1)), (F(1), F(0))
+    )
+
+
+# -- result checks raise even under python -O ---------------------------------
+
+
+def test_refines_witness_is_checked(monkeypatch):
+    def zeros(problem):
+        return LPOptimal(F(0), (F(0),) * len(problem.objective))
+
+    monkeypatch.setattr(analysis, "lp_optimize", zeros)
+    ch = geometric_truncated(3, "1/2")
+    with pytest.raises(AssertionError, match="refinement witness"):
+        refines(ch, ch)
+
+
+def test_capacity_witness_privacy_is_checked(monkeypatch):
+    monkeypatch.setattr(
+        analysis, "check_dx_private", lambda channel, space: SimpleNamespace(ok=False)
+    )
+    with pytest.raises(AssertionError, match="privacy re-check"):
+        type_capacity_lp(make_metric("line", n=3, base=2), "mult")
+
+
+def test_capacity_witness_trace_is_checked(monkeypatch):
+    real = analysis.lp_optimize
+
+    def off_by_one(problem):
+        res = real(problem)
+        return LPOptimal(res.value + 1, res.point)
+
+    monkeypatch.setattr(analysis, "lp_optimize", off_by_one)
+    with pytest.raises(AssertionError, match="witness trace"):
+        type_capacity_lp(make_metric("line", n=3, base=2), "mult")
+
+
+@pytest.mark.parametrize("mode,score", [
+    ("mult", "mult_capacity_channel"), ("add", "add_capacity_channel"),
+])
+def test_capacity_witness_score_is_checked(monkeypatch, mode, score):
+    monkeypatch.setattr(analysis, score, lambda channel: F(-1))
+    with pytest.raises(AssertionError, match="witness score"):
+        type_capacity_lp(make_metric("line", n=3, base=2), mode)
+
+
+@pytest.mark.parametrize("kind,mode,witness", [
+    ("line", "mult", "geometric_truncated"),
+    ("discrete", "mult", "random_response"),
+    ("discrete", "add", "random_response_dual"),
+])
+def test_closed_form_is_checked(monkeypatch, kind, mode, witness):
+    # A witness with another alpha scores another capacity.
+    real = getattr(analysis, witness)
+    monkeypatch.setattr(analysis, witness, lambda n, alpha: real(n, alpha / 2))
+    with pytest.raises(AssertionError, match="closed-form"):
+        type_capacity_closed_form(make_metric(kind, n=3, base=2), mode)

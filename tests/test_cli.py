@@ -408,6 +408,42 @@ def test_non_object_cache_entry_is_a_miss(tmp_path, capsys):
     assert capsys.readouterr().out == fresh
 
 
+def _entries(cache_dir, op) -> list:
+    """(path, envelope) of every cached ``op`` entry."""
+    found = []
+    for name in os.listdir(cache_dir):
+        entry = json.loads((cache_dir / name).read_text(encoding="utf-8"))
+        if entry["op"] == op:
+            found.append((cache_dir / name, entry))
+    return found
+
+
+def _without_first_outers(payload: str) -> str:
+    obj = json.loads(payload)
+    del obj["kernels"][0]["outers"]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("op,change", [
+    ("vertices", lambda payload: "[]"),
+    ("kernels", lambda payload: "[]"),
+    ("kernels", _without_first_outers),
+])
+def test_wrongly_shaped_cache_payload_is_a_miss(tmp_path, capsys, op, change):
+    m = _metric(tmp_path, kind="line", n=3, base="2")
+    cache_dir = tmp_path / "c"
+    argv = [op, "--metric", m, "--format", "json", "--cache-dir", str(cache_dir)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    for path, entry in _entries(cache_dir, op):  # a valid envelope, a bad payload
+        entry["payload"] = change(entry["payload"])
+        path.write_text(json.dumps(entry), encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    # The miss recomputed the entry and stored it again.
+    assert [entry["payload"] for _, entry in _entries(cache_dir, op)] == [fresh.strip()]
+
+
 def test_importing_the_package_does_not_load_hashlib():
     src = str(Path(mdp_workbench.__file__).resolve().parents[1])
     env = dict(os.environ)

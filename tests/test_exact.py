@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdp_workbench import exact
 from mdp_workbench.exact import (
     DimensionError,
     INCONSISTENT,
@@ -283,3 +285,214 @@ def test_lp_simplex_feasibility_property(bounds):
         assert dot(row, res.point) <= bound
     assert all(v >= 0 for v in res.point)
     assert res.value == dot(tuple(F(i + 1) for i in range(n)), res.point)
+
+
+# -- the simplex against a brute-force oracle ----------------------------------
+
+
+def _brute_force_lp(p: LPProblem):
+    """(status, optimal value) from every basis of the LP's standard form.
+
+    Free variables are split, bounded ones shifted to 0, ub rows get a slack.
+    A basis is primal feasible when its basic solution is >= 0 and solves
+    every row; the LP is bounded iff some feasible basis is also dual
+    feasible, and then the least basic value is the optimum.
+    """
+    n = len(p.objective)
+    lower = p.lower_bounds if p.lower_bounds is not None else (F(0),) * n
+    shift = [F(0) if lb is None else lb for lb in lower]
+    rows = list(p.eq_rows) + list(p.ub_rows)
+    rhs = [b - dot(r, shift) for r, b in zip(rows, list(p.eq_rhs) + list(p.ub_rhs))]
+    sense = -1 if p.maximize else 1
+    cols, cost = [], []
+    for j in range(n):
+        for sign in (1,) if lower[j] is not None else (1, -1):
+            cols.append([sign * r[j] for r in rows])
+            cost.append(sense * sign * p.objective[j])
+    for k in range(len(p.ub_rows)):
+        cols.append([F(int(i == len(p.eq_rows) + k)) for i in range(len(rows))])
+        cost.append(F(0))
+    keep: list = []  # a maximal independent set of rows
+    for i in range(len(rows)):
+        if rank([[c[t] for c in cols] for t in keep + [i]]) == len(keep) + 1:
+            keep.append(i)
+    best, bounded = None, False
+    for basis in itertools.combinations(range(len(cols)), len(keep)):
+        b = tuple(tuple(cols[j][i] for j in basis) for i in keep)
+        sol = solve_linear_system(b, tuple(rhs[i] for i in keep))
+        if not isinstance(sol, Unique):
+            continue
+        y = [F(0)] * len(cols)
+        for j, v in zip(basis, sol.x):
+            y[j] = v
+        if min(y, default=0) < 0 or any(
+            dot([c[i] for c in cols], y) != rhs[i] for i in range(len(rows))
+        ):
+            continue
+        value = dot(cost, y)
+        best = value if best is None else min(best, value)
+        prices = solve_linear_system(transpose(b), tuple(cost[j] for j in basis)).x
+        bounded = bounded or all(
+            cost[j] >= sum(pi * cols[j][i] for pi, i in zip(prices, keep))
+            for j in range(len(cols))
+        )
+    if best is None:
+        return "infeasible", None
+    if not bounded:
+        return "unbounded", None
+    return "optimal", sense * best + dot(p.objective, shift)
+
+
+def _random_lp(rng: random.Random) -> LPProblem:
+    n = rng.randint(1, 3)
+
+    def q():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    lower = tuple(
+        None if rng.random() < 0.3 else q() if rng.random() < 0.4 else F(0)
+        for _ in range(n)
+    )
+    # Zero right-hand sides make degenerate vertices; negative ones need an
+    # artificial in phase 1.
+    def rhs():
+        return F(0) if rng.random() < 0.3 else q()
+
+    eq_rows = [tuple(q() for _ in range(n)) for _ in range(rng.randint(0, 2))]
+    eq_rhs = [rhs() for _ in eq_rows]
+    if eq_rows and rng.random() < 0.4:  # a redundant (scaled) copy of a row
+        k, f = rng.randrange(len(eq_rows)), F(rng.choice([-2, 1, 3]), rng.randint(1, 2))
+        eq_rows.append(tuple(f * v for v in eq_rows[k]))
+        eq_rhs.append(f * eq_rhs[k])
+    ub_rows = tuple(tuple(q() for _ in range(n)) for _ in range(rng.randint(0, 3)))
+    ub_rhs = tuple(rhs() for _ in ub_rows)
+    return LPProblem(
+        objective=tuple(q() for _ in range(n)),
+        maximize=rng.random() < 0.5,
+        eq_rows=tuple(eq_rows),
+        eq_rhs=tuple(eq_rhs),
+        ub_rows=ub_rows,
+        ub_rhs=ub_rhs,
+        lower_bounds=lower if rng.random() < 0.7 else None,
+    )
+
+
+def _status(res) -> tuple:
+    if res is LP_INFEASIBLE:
+        return "infeasible", None
+    if res is LP_UNBOUNDED:
+        return "unbounded", None
+    return "optimal", res.value
+
+
+def _assert_feasible(p: LPProblem, res: LPOptimal) -> None:
+    for row, b in zip(p.eq_rows, p.eq_rhs):
+        assert dot(row, res.point) == b
+    for row, b in zip(p.ub_rows, p.ub_rhs):
+        assert dot(row, res.point) <= b
+    for v, lb in zip(res.point, p.lower_bounds or (F(0),) * len(res.point)):
+        assert lb is None or v >= lb
+    assert res.value == dot(p.objective, res.point)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lp_matches_brute_force_on_random_problems(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        p = _random_lp(rng)
+        res = lp_optimize(p)
+        assert _status(res) == _brute_force_lp(p), p
+        if isinstance(res, LPOptimal):
+            _assert_feasible(p, res)
+
+
+def test_lp_brute_force_covers_every_outcome():
+    seen = {
+        _brute_force_lp(_random_lp(rng))[0]
+        for rng in (random.Random(seed) for seed in range(12))
+    }
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+# Beale's example: Dantzig's rule with the smallest-index ratio tie-break
+# cycles through six degenerate bases at the origin.
+BEALE = LPProblem(
+    objective=(F(-3, 4), F(20), F(-1, 2), F(6)),
+    ub_rows=(
+        (F(1, 4), F(-8), F(-1), F(9)),
+        (F(1, 2), F(-12), F(-1, 2), F(3)),
+        (F(0), F(0), F(1), F(0)),
+    ),
+    ub_rhs=(F(0), F(0), F(1)),
+)
+
+
+def test_lp_bland_fallback_breaks_a_dantzig_cycle(monkeypatch):
+    res = lp_optimize(BEALE)
+    assert res == LPOptimal(F(-5, 4), (F(1), F(0), F(1), F(0)))
+    assert _brute_force_lp(BEALE) == ("optimal", F(-5, 4))
+    monkeypatch.setattr(exact, "_STALL_LIMIT", 10**9)  # Dantzig only
+    with pytest.raises(SimplexIterationLimit, match="phase 2"):
+        lp_optimize(BEALE, iteration_limit=1000)
+
+
+def test_lp_points_are_pinned():
+    # Scaling a row to integers scales its slack; the entering rule must
+    # still pick the column the unscaled tableau picks, or the same optimal
+    # value is reached at another vertex.
+    res = lp_optimize(
+        LPProblem(
+            objective=(F(-3, 2), F(2), F(-3, 2)),
+            eq_rows=((F(1), F(2), F(1)),),
+            eq_rhs=(F(3),),
+            ub_rows=((F(-1), F(-1, 2), F(-3, 2)),),
+            ub_rhs=(F(-3),),
+        )
+    )
+    assert res == LPOptimal(F(-9, 2), (F(0), F(0), F(3)))
+
+
+# -- the optimality certificate ------------------------------------------------
+
+
+# Phase 1 ends at a feasible basis from which phase 2 still has to pivot.
+NEEDS_PHASE_TWO = LPProblem(
+    objective=(F(1), F(2)),
+    maximize=True,
+    ub_rows=((F(1), F(1)), (F(1), F(3))),
+    ub_rhs=(F(4), F(6)),
+)
+
+
+def test_lp_certificate_rejects_an_unfinished_phase_two(monkeypatch):
+    assert lp_optimize(NEEDS_PHASE_TWO) == LPOptimal(F(5), (F(3), F(1)))
+    run = exact._Tableau.run
+
+    def stop_phase_two(self, weight, phase):
+        return True if phase == 2 else run(self, weight, phase)
+
+    monkeypatch.setattr(exact._Tableau, "run", stop_phase_two)
+    with pytest.raises(AssertionError, match="dual check \\(reduced cost\\)"):
+        lp_optimize(NEEDS_PHASE_TWO)
+
+
+def test_lp_certificate_checks_the_objective(monkeypatch):
+    # minimise x + y over x + y >= 1: the multiplier of the row is 1.
+    problem = LPProblem(
+        objective=(F(1), F(1)), ub_rows=((F(-1), F(-1)),), ub_rhs=(F(-1),)
+    )
+    assert lp_optimize(problem).value == 1
+    run = exact._Tableau.run
+
+    def drop_multipliers(self, weight, phase):
+        done = run(self, weight, phase)
+        if phase == 2:
+            # The row's multiplier is stored negated; clipping it to 0
+            # leaves every reduced cost at its (nonnegative) cost, but y . b
+            # falls from 1 to 0.
+            self.rows[-1] = [max(v, 0) for v in self.rows[-1]]
+        return done
+
+    monkeypatch.setattr(exact._Tableau, "run", drop_multipliers)
+    with pytest.raises(AssertionError, match="dual check \\(objective\\)"):
+        lp_optimize(problem)

@@ -40,6 +40,8 @@ from mdp_workbench import (
     trivial_channel,
     uniform_prior,
 )
+from mdp_workbench import optimality
+from mdp_workbench.exact import LP_UNBOUNDED, LPOptimal
 
 F = Fraction
 
@@ -453,3 +455,30 @@ def test_law_restriction_matches_extension():
         )
         full_verdict = check_universal_l_optimal(mech, lifted, full_kernels)
         assert small_verdict.kind == full_verdict.kind
+
+
+# -- result checks raise even under python -O ---------------------------------
+
+
+def test_unbounded_cell_is_checked(monkeypatch):
+    _, _, kernels = space_and_kernels("line", 3)
+    ch = geometric_truncated(3, "1/2")
+    monkeypatch.setattr(optimality, "lp_optimize", lambda problem: LP_UNBOUNDED)
+    with pytest.raises(AssertionError, match="unbounded"):
+        check_universal_l_optimal(ch, make_loss("bin", labels=ch.x_labels), kernels)
+
+
+def test_counterexample_is_re_verified(monkeypatch):
+    sp, _, kernels = space_and_kernels("discrete", 3)
+    real = optimality.lp_optimize
+
+    def inflated(problem):
+        res = real(problem)
+        if isinstance(res, LPOptimal) and res.value > 0:
+            return LPOptimal(res.value * 2, res.point)
+        return res
+
+    monkeypatch.setattr(optimality, "lp_optimize", inflated)
+    loss = make_loss("bin", labels=sp.labels)
+    with pytest.raises(AssertionError, match="re-verification"):
+        check_universal_l_optimal(random_response(3, "1/2"), loss, kernels)
