@@ -31,17 +31,14 @@ agrees with it exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from .exact import (
     LPOptimal,
     LPProblem,
-    Matrix,
     ONE,
-    Vector,
     ZERO,
     dot,
     lp_optimize,

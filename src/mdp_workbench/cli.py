@@ -128,6 +128,17 @@ def _decimal(value: Fraction, places: int = 4) -> str:
     return f"{digits[:-places]}.{digits[-places:]}"
 
 
+def _write(args, out: str) -> None:
+    """Write a finished report to ``--out`` if the subcommand has one and it
+    is set, else to stdout."""
+    target = getattr(args, "out", None)
+    if target:
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            handle.write(out)
+    else:
+        sys.stdout.write(out)
+
+
 def _emit(args, text: str, json_obj, csv_rows) -> None:
     if args.format == "json":
         out = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
@@ -135,12 +146,7 @@ def _emit(args, text: str, json_obj, csv_rows) -> None:
         out = _csv_text(csv_rows)
     else:
         out = text if text.endswith("\n") or not text else text + "\n"
-    target = getattr(args, "out", None)
-    if target:
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            handle.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(args, out)
 
 
 def _fracs(values) -> str:
@@ -277,12 +283,7 @@ def _cmd_vertices(args) -> int:
     ]
     if args.format == "json":
         # Emit the payload string itself so cache hits are byte-identical.
-        target = getattr(args, "out", None)
-        if target:
-            with open(target, "w", encoding="utf-8", newline="") as handle:
-                handle.write(payload + "\n")
-        else:
-            sys.stdout.write(payload + "\n")
+        _write(args, payload + "\n")
         return 0
     _emit(args, "\n".join(lines), None, csv_rows)
     return 0
@@ -300,7 +301,7 @@ def _cmd_kernels(args) -> int:
         for o, inner in zip(k.outers, k.inners):
             csv_rows.append([i, format_scalar(o)] + [format_scalar(v) for v in inner])
     if args.format == "json":
-        sys.stdout.write(payload + "\n")
+        _write(args, payload + "\n")
         return 0
     _emit(args, "\n".join(lines), None, csv_rows)
     return 0
@@ -584,18 +585,8 @@ def _cmd_reproduce(args) -> int:
         _emit(args, "", {"table": table, "rows": json_rows}, None)
     else:
         # The reproduction report is the CSV hand-off in either text mode.
-        _emit_csv_only(args, csv_rows)
+        _write(args, _csv_text(csv_rows))
     return 1 if failed else 0
-
-
-def _emit_csv_only(args, csv_rows) -> None:
-    out = _csv_text(csv_rows)
-    target = getattr(args, "out", None)
-    if target:
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            handle.write(out)
-    else:
-        sys.stdout.write(out)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,16 @@
-"""Exact rational vectors, matrices, linear solving, and a small simplex core.
+"""Exact rational vectors, matrices, integer elimination, and a small simplex.
 
 Every quantity in this package is an arbitrary-precision rational
 (:class:`fractions.Fraction`).  Floats never enter a result path: text input
 is parsed exactly, irrational values elsewhere are rounded *once* to a stated
 number of significant digits and kept as rationals from then on.
+
+Linear algebra runs in integers.  One fraction-free echelon routine (as in
+Bareiss 1968, but each row is divided by the gcd of its entries rather than
+by the previous pivot) does all the row reduction in the package: for
+:func:`rank`, for :func:`solve_linear_system`, and for the vertex and kernel
+enumerations in ``geometry``, which keep an echelon of integer rows as they
+walk their subsets.
 
 The linear-programming solver is a dense two-phase simplex on a
 fraction-free integer tableau (Bareiss pivoting over a common determinant),
@@ -24,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -38,11 +46,13 @@ __all__ = [
     "format_scalar",
     "as_vector",
     "as_matrix",
-    "identity",
     "dot",
-    "mat_vec",
     "mat_mul",
     "transpose",
+    "primitive_row",
+    "reduce_row",
+    "echelon_row",
+    "nullspace_vector",
     "rank",
     "Unique",
     "UNDERDETERMINED",
@@ -113,12 +123,6 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
     return out
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionError(f"dot of lengths {len(u)} and {len(v)}")
@@ -127,10 +131,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         if a and b:
             total += a * b
     return total
-
-
-def mat_vec(a: Matrix, x: Sequence[Fraction]) -> Vector:
-    return tuple(dot(row, x) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -145,49 +145,81 @@ def transpose(a: Matrix) -> Matrix:
 
 
 # --------------------------------------------------------------------------
-# Gaussian elimination: rank and linear solving share one forward pass.
+# Fraction-free integer elimination: one echelon routine behind rank, linear
+# solving, and both enumerations in geometry.
 # --------------------------------------------------------------------------
 
 
-def _forward_eliminate(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduce ``rows`` in place to row-echelon form over the first ``ncols``
-    columns; returns the pivot column of each eliminated row, in order.
+def primitive_row(values: Sequence[Fraction]) -> list:
+    """The primitive integer multiple of a rational row: scaled by the lcm
+    of its denominators and divided by the gcd of the result (sign kept)."""
+    scale = lcm(*(v.denominator for v in values))
+    row = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
-    Pivot choice is deterministic: scan columns left to right, take the first
-    remaining row with a nonzero entry.  No magnitude heuristics are needed —
-    arithmetic is exact.
+
+def reduce_row(row: list, echelon: Iterable) -> list:
+    """Eliminate each ``(erow, p)`` of an integer echelon from ``row``,
+    fraction-free: ``row <- erow[p] * row - row[p] * erow``, then divided by
+    the gcd of its entries.  Never changes its arguments; a row with nothing
+    to eliminate comes back as the same list.
     """
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        inv = ONE / prow[c]
-        if inv != 1:
-            rows[r] = prow = [v * inv for v in prow]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+    for erow, p in echelon:
+        c = row[p]
+        if c:
+            m = erow[p]
+            row = [m * a - c * b for a, b in zip(row, erow)]
+            g = gcd(*row)
+            if g > 1:
+                row = [v // g for v in row]
+    return row
+
+
+def echelon_row(row: list, echelon: Iterable, width: int):
+    """``row`` reduced against ``echelon`` as a new ``(row, pivot)`` entry:
+    the pivot is its first nonzero column below ``width``, made positive by
+    negating the row.  None if those columns reduce to zero.
+
+    Every entry made this way has a positive pivot and zeros at the pivots
+    of the entries before it, which is all :func:`reduce_row` and
+    :func:`nullspace_vector` need.
+    """
+    row = reduce_row(row, echelon)
+    for p in range(width):
+        v = row[p]
+        if v:
+            return (row if v > 0 else [-a for a in row]), p
+    return None
+
+
+def nullspace_vector(echelon: Sequence, ncols: int) -> list:
+    """An integer vector spanning the nullspace of an echelon of rank
+    ``ncols - 1`` over ``ncols`` columns, positive at its one free column.
+
+    Back-substitutes from the last entry: before solving for a pivot, what
+    is known is scaled by that (positive) pivot so that it divides.  No gcd
+    is taken on the way; callers that need the vector reduced reduce it.
+    """
+    pivots = {p for _, p in echelon}
+    u = [0] * ncols
+    u[next(c for c in range(ncols) if c not in pivots)] = 1
+    for row, p in reversed(echelon):
+        t = sum(map(mul, row, u))  # u[p] is still 0
+        m = row[p]
+        if m != 1:
+            u = [m * v for v in u]
+        u[p] = -t
+    return u
 
 
 def rank(vectors: Iterable[Sequence[Fraction]]) -> int:
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    return len(_forward_eliminate(rows, len(rows[0])))
+    echelon: list = []
+    for v in vectors:
+        entry = echelon_row(primitive_row(v), echelon, len(v))
+        if entry:
+            echelon.append(entry)
+    return len(echelon)
 
 
 @dataclass(frozen=True)
@@ -197,7 +229,7 @@ class Unique:
     x: Vector
 
 
-class _SolveMarker:
+class _Marker:
     __slots__ = ("_name",)
 
     def __init__(self, name: str):
@@ -207,10 +239,10 @@ class _SolveMarker:
         return self._name
 
 
-UNDERDETERMINED = _SolveMarker("UNDERDETERMINED")
-INCONSISTENT = _SolveMarker("INCONSISTENT")
+UNDERDETERMINED = _Marker("UNDERDETERMINED")
+INCONSISTENT = _Marker("INCONSISTENT")
 
-LinearOutcome = Union[Unique, _SolveMarker]
+LinearOutcome = Union[Unique, _Marker]
 
 
 def solve_linear_system(a: Matrix, b: Sequence[Fraction]) -> LinearOutcome:
@@ -219,27 +251,28 @@ def solve_linear_system(a: Matrix, b: Sequence[Fraction]) -> LinearOutcome:
     Returns :class:`Unique` with the solution vector, or one of the module
     markers ``UNDERDETERMINED`` / ``INCONSISTENT``.  The three-way answer is
     exact — there is no tolerance involved.
+
+    The rows ``[a | b]`` are brought to an integer echelon.  A pivot in the
+    ``b`` column means no solution; otherwise a rank of ``ncols`` leaves a
+    one-dimensional nullspace ``(u, t)`` with ``t > 0``, and ``x = -u / t``.
     """
     if len(a) != len(b):
         raise DimensionError(f"{len(a)} equations but {len(b)} right-hand sides")
     ncols = len(a[0]) if a else 0
-    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for row in rows:
-        if len(row) != ncols + 1:
-            raise DimensionError("ragged coefficient rows")
-    if not rows:
-        return Unique(()) if ncols == 0 else UNDERDETERMINED
-    pivots = _forward_eliminate(rows, ncols)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][ncols]:
-            return INCONSISTENT
-    if len(pivots) < ncols:
+    if any(len(row) != ncols for row in a):
+        raise DimensionError("ragged coefficient rows")
+    echelon: list = []
+    for row, rhs in zip(a, b):
+        entry = echelon_row(primitive_row((*row, rhs)), echelon, ncols + 1)
+        if entry:
+            if entry[1] == ncols:
+                return INCONSISTENT
+            echelon.append(entry)
+    if len(echelon) < ncols:
         return UNDERDETERMINED
-    # After full reduction each pivot row reads x[pivot] = rhs.
-    x = [ZERO] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][ncols]
-    return Unique(tuple(x))
+    u = nullspace_vector(echelon, ncols + 1)
+    t = u[ncols]
+    return Unique(tuple(Fraction(-v, t) for v in u[:ncols]))
 
 
 # --------------------------------------------------------------------------
@@ -272,20 +305,10 @@ class LPOptimal:
     point: Vector
 
 
-class _LPMarker:
-    __slots__ = ("_name",)
+LP_INFEASIBLE = _Marker("LP_INFEASIBLE")
+LP_UNBOUNDED = _Marker("LP_UNBOUNDED")
 
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self._name
-
-
-LP_INFEASIBLE = _LPMarker("LP_INFEASIBLE")
-LP_UNBOUNDED = _LPMarker("LP_UNBOUNDED")
-
-LPOutcome = Union[LPOptimal, _LPMarker]
+LPOutcome = Union[LPOptimal, _Marker]
 
 
 class SimplexIterationLimit(RuntimeError):

@@ -9,10 +9,11 @@ the unique all-positive weights that average back to the uniform prior.
 
 Everything in here is exact.  The two enumerations run a depth-first search
 over subsets (of halfspaces, of vertices) with an incremental integer
-row-echelon: fraction-free elimination with gcd normalisation.  Every
-decision is taken in machine integers.  A vertex candidate is
-back-substituted in integers and tested against the halfspaces as an
-integer vector; a kernel candidate's echelon rows carry their integer
+row-echelon.  The echelon is ``exact``'s: each chosen row is reduced by
+:func:`~mdp_workbench.exact.echelon_row`, and a vertex leaf reads its point
+off :func:`~mdp_workbench.exact.nullspace_vector`.  Every decision is taken
+in machine integers.  A vertex candidate is tested against the halfspaces
+as an integer vector; a kernel candidate's echelon rows carry their integer
 combinations of the chosen vertices, so a vanishing residual of the uniform
 target is itself an integer certificate of the weights and their signs.
 Fractions are built only for accepted answers.
@@ -30,14 +31,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import (
-    Matrix,
     ONE,
     Vector,
     ZERO,
     LPOptimal,
     LPProblem,
+    echelon_row,
     lp_optimize,
+    nullspace_vector,
+    primitive_row,
     rank,
+    reduce_row,
 )
 from .mechanisms import Channel, Hyper, to_hyper, uniform_prior
 from .metrics import MetricSpace
@@ -93,30 +97,6 @@ class EnumerationBudgetExceeded(RuntimeError):
         self.limit = limit
 
 
-def _gcd_normalise(row: list) -> list:
-    g = math.gcd(*row)
-    if g > 1:
-        return [v // g for v in row]
-    return row
-
-
-def _reduce_against(row: list, ech_rows: list, ech_pivots: list) -> list:
-    """Eliminate ``row`` against an integer echelon (fraction-free)."""
-    for erow, p in zip(ech_rows, ech_pivots):
-        c = row[p]
-        if c:
-            m = erow[p]
-            row = _gcd_normalise([m * a - c * b for a, b in zip(row, erow)])
-    return row
-
-
-def _first_nonzero(row: Sequence[int]):
-    for idx, v in enumerate(row):
-        if v:
-            return idx
-    return None
-
-
 def ensure_vertex_budget(cs: ConstraintSystem, limit: int) -> None:
     """Raise EnumerationBudgetExceeded iff enumerate_vertices would refuse.
 
@@ -169,25 +149,12 @@ def enumerate_vertices(
         checks.append((i, j, p, q))
 
     found = set()
-    ech_rows: list = []
-    ech_pivots: list = []
+    echelon: list = []
 
     def leaf():
-        # Back-substitute the nullspace vector in integers: before solving
-        # for a pivot, scale what is known by that pivot so it divides.  The
-        # scale is irrelevant to the tests below and the final Fractions
-        # reduce it, so no gcd is taken on the way.
-        pivset = set(ech_pivots)
-        u = [0] * n
-        u[next(c for c in range(n) if c not in pivset)] = 1
-        for idx in range(n - 2, -1, -1):
-            row = ech_rows[idx]
-            p = ech_pivots[idx]
-            t = sum(coef * u[c] for c, coef in enumerate(row) if coef and c != p)
-            m = row[p]
-            if m != 1:
-                u = [m * v for v in u]
-            u[p] = -t
+        # The scale of the nullspace vector is irrelevant to the tests below
+        # and the final Fractions reduce it.
+        u = nullspace_vector(echelon, n)
         total = sum(u)
         if total == 0:
             return
@@ -202,21 +169,15 @@ def enumerate_vertices(
         found.add(tuple(Fraction(v, total) for v in u))
 
     def dfs(start: int):
-        if len(ech_rows) == n - 1:
+        if len(echelon) == n - 1:
             leaf()
             return
         for h in range(start, H):
-            row = _reduce_against(list(normals[h]), ech_rows, ech_pivots)
-            piv = _first_nonzero(row)
-            if piv is None:
-                continue
-            if row[piv] < 0:
-                row = [-v for v in row]
-            ech_rows.append(row)
-            ech_pivots.append(piv)
-            dfs(h + 1)
-            ech_rows.pop()
-            ech_pivots.pop()
+            entry = echelon_row(normals[h], echelon, n)
+            if entry:
+                echelon.append(entry)
+                dfs(h + 1)
+                echelon.pop()
 
     dfs(0)
     return tuple(sorted(found))
@@ -231,12 +192,14 @@ def enumerate_kernels(
     echelon of the chosen vertices' primitive integer multiples ``ivec``.
     Each echelon row also carries its integer combination of the chosen
     ``ivec``s, and the uniform target is reduced alongside as a residual
-    ``d*1 - sum(a_j * ivec_j)`` that carries its ``(d, a)``; ``d`` stays
-    positive because every pivot is.  The moment the residual vanishes, the
-    integer identity ``sum(a_j * ivec_j) = d*1`` certifies the subset's
-    unique (by independence) weights ``a_j * sum(ivec_j) / (d * n)`` (a
-    vertex sums to 1, so ``ivec_j = sum(ivec_j) * v_j``), and the subset is
-    a kernel iff every ``a_j > 0``.  Fractions are built for accepted
+    ``d*1 - sum(a_j * ivec_j)`` that carries its ``a``.  Only positive
+    multiples of the target enter it (every pivot is positive), so ``d > 0``
+    without being stored.  The moment the residual vanishes, the identity
+    ``sum(a_j * ivec_j) = d*1`` certifies the subset's unique (by
+    independence) weights ``a_j * sum(ivec_j) / (d * n)``, where summing the
+    identity's coordinates gives ``d * n = sum(a_j * sum(ivec_j))`` (a vertex
+    sums to 1, so ``ivec_j = sum(ivec_j) * v_j``), and the subset is a
+    kernel iff every ``a_j > 0``.  Fractions are built for accepted
     subsets only.  Either way no superset is explored — a strict superset
     would assign the extra vertices weight zero, so none of them can be
     kernels.
@@ -245,32 +208,29 @@ def enumerate_kernels(
     V = len(vertices)
     ensure_kernel_budget(V, n, limit)
 
-    ivecs = []
-    for v in vertices:
-        if len(v) != n:
-            raise ValueError("vertex length does not match the space")
-        scale = math.lcm(*(x.denominator for x in v))
-        ivecs.append(_gcd_normalise([int(x * scale) for x in v]))
+    if any(len(v) != n for v in vertices):
+        raise ValueError("vertex length does not match the space")
+    ivecs = [primitive_row(v) for v in vertices]
     sums = [sum(ivec) for ivec in ivecs]
 
     kernels: list[Hyper] = []
     # Rows are length 2n, ``[x | k]`` with ``x + sum(k_j * ivec_j) = 0``:
     # the reduced vector, then minus its combination of the chosen ivecs,
-    # indexed by depth.  The residual ``[x | a | d]`` reads
+    # indexed by depth.  The residual ``[x | a]`` reads
     # ``x + sum(a_j * ivec_j) = d*1``; both identities survive elimination.
-    ech_rows: list = []
-    ech_pivots: list = []
+    echelon: list = []
     chosen: list = []
 
     def accept(resid: list):
-        d = resid[-1]
         a = resid[n : n + len(chosen)]
         if any(x <= 0 for x in a):
             return
+        mass = [x * sums[v] for x, v in zip(a, chosen)]
+        dn = sum(mass)
         kernels.append(
             Hyper(
                 space.labels,
-                tuple(Fraction(x * sums[v], d * n) for x, v in zip(a, chosen)),
+                tuple(Fraction(w, dn) for w in mass),
                 tuple(vertices[v] for v in chosen),
             )
         )
@@ -280,32 +240,20 @@ def enumerate_kernels(
         for v in range(start, V):
             row = ivecs[v] + [0] * n
             row[n + depth] = -1
-            row = _reduce_against(row, ech_rows, ech_pivots)
-            piv = _first_nonzero(row)
-            if piv >= n:  # the vector part reduced to zero: dependent
+            entry = echelon_row(row, echelon, n)
+            if entry is None:  # the vector part reduced to zero: dependent
                 continue
-            if row[piv] < 0:
-                row = [-x for x in row]
-            ech_rows.append(row)
-            ech_pivots.append(piv)
+            echelon.append(entry)
             chosen.append(v)
-            c = resid[piv]
-            if c:
-                m = row[piv]
-                new_resid = [m * x - c * y for x, y in zip(resid, row)]
-                new_resid.append(m * resid[-1])
-                new_resid = _gcd_normalise(new_resid)
-            else:
-                new_resid = resid
+            new_resid = reduce_row(resid, (entry,))
             if not any(new_resid[:n]):
                 accept(new_resid)
             elif depth + 1 < n:
                 dfs(v + 1, new_resid)
             chosen.pop()
-            ech_rows.pop()
-            ech_pivots.pop()
+            echelon.pop()
 
-    dfs(0, [1] * n + [0] * n + [1])
+    dfs(0, [1] * n + [0] * n)
     kernels.sort(key=lambda h: (h.inners, h.outers))
     return tuple(kernels)
 

@@ -9,10 +9,7 @@ why most of the geometry in this package works on hypers rather than raw
 matrices.
 
 Privacy here is multiplicative: a channel respects a metric space when every
-pair of rows is within the pair's stretch factor, column by column.  The same
-property can be read off the uniform-prior hyper instead, and
-:func:`check_dx_private_via_hyper` does exactly that — an independent route
-kept around so the two implementations can cross-check each other.
+pair of rows is within the pair's stretch factor, column by column.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .exact import Matrix, ONE, Vector, ZERO, as_matrix, as_vector, parse_scalar
 from .metrics import MetricSpace
@@ -37,7 +34,6 @@ __all__ = [
     "trivial_channel",
     "DpReport",
     "check_dx_private",
-    "check_dx_private_via_hyper",
     "to_hyper",
     "from_hyper",
     "restrict",
@@ -317,33 +313,6 @@ def check_dx_private(
     bad = _violations(
         channel.rows, pairs, space.stretch, channel.x_labels, channel.y_labels
     )
-    return DpReport(ok=not bad, violations=tuple(bad))
-
-
-def check_dx_private_via_hyper(channel: Channel, space: MetricSpace) -> DpReport:
-    """Same verdict as :func:`check_dx_private`, computed on the uniform-prior
-    hyper's posteriors instead of the channel's rows.
-
-    Under a uniform prior a posterior is a rescaled channel column, so the
-    row-ratio condition holds iff every posterior satisfies it coordinatewise.
-    Deliberately implemented on a different representation as a cross-check.
-    """
-    if channel.x_labels != space.labels:
-        raise ValueError("channel secrets do not match the space's labels")
-    h = to_hyper(channel, uniform_prior(channel.x_labels))
-    bad = []
-    for i, j in space.tight_pairs:
-        bound = space.stretch[i][j]
-        for k, inner in enumerate(h.inners):
-            a, b = inner[i], inner[j]
-            if a > bound * b:
-                bad.append(
-                    (space.labels[i], space.labels[j], f"inner{k}", a / b if b else None)
-                )
-            if b > bound * a:
-                bad.append(
-                    (space.labels[j], space.labels[i], f"inner{k}", b / a if a else None)
-                )
     return DpReport(ok=not bad, violations=tuple(bad))
 
 

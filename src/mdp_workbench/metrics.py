@@ -441,21 +441,32 @@ def metric_to_json(space: MetricSpace) -> dict:
     return out
 
 
+def _int_field(data: Mapping, field: str) -> int:
+    """An integer field of a metric's JSON form.  JSON floats and booleans
+    are refused rather than truncated, as :func:`parse_scalar` refuses
+    floats; integers and integer strings are read by ``int``."""
+    value = data[field]
+    if isinstance(value, (bool, float)):
+        raise ValueError(
+            f"metric field {field!r} must be an integer, got {json.dumps(value)}"
+        )
+    return int(value)
+
+
 def metric_from_json(data: Mapping) -> MetricSpace:
     if not isinstance(data, Mapping):
         raise ValueError("a metric must be a JSON object")
     kind = data.get("kind")
-    kwargs: dict = {
-        "base": data.get("base", "1"),
-        "precision_digits": int(data.get("precision_digits", 30)),
-    }
+    kwargs: dict = {"base": data.get("base", "1"), "precision_digits": 30}
+    if "precision_digits" in data:
+        kwargs["precision_digits"] = _int_field(data, "precision_digits")
     if kind in ("line", "discrete"):
-        kwargs["n"] = int(data["n"])
+        kwargs["n"] = _int_field(data, "n")
     elif kind == "grid":
-        kwargs["width"] = int(data["width"])
-        kwargs["height"] = int(data["height"])
+        kwargs["width"] = _int_field(data, "width")
+        kwargs["height"] = _int_field(data, "height")
     elif kind == "hamming":
-        kwargs["bits"] = int(data["bits"])
+        kwargs["bits"] = _int_field(data, "bits")
     elif kind == "custom":
         kwargs["labels"] = data.get("labels")
         kwargs["distances"] = data["distances"]

@@ -31,7 +31,6 @@ from .exact import (
     ONE,
     ZERO,
     as_matrix,
-    dot,
     lp_optimize,
     parse_scalar,
 )

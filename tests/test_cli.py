@@ -322,9 +322,34 @@ def test_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_metric_fields(tmp_path, capsys):
-    m = _write(tmp_path, "bad-kind.json", {"kind": "torus", "n": 3, "base": "2"})
+@pytest.mark.parametrize(
+    "data,named",
+    [
+        ({"kind": "torus", "n": 3, "base": "2"}, "torus"),
+        ({"kind": "line", "n": 3.7, "base": "2"}, "'n'"),
+        ({"kind": "line", "n": True, "base": "2"}, "'n'"),
+        ({"kind": "discrete", "n": 4.0, "base": "2"}, "'n'"),
+        ({"kind": "grid", "width": 1.5, "height": 1, "base": "2"}, "'width'"),
+        ({"kind": "grid", "width": 1, "height": False, "base": "2"}, "'height'"),
+        ({"kind": "hamming", "bits": 2.0, "base": "2"}, "'bits'"),
+        ({"kind": "line", "n": 3, "base": "2", "precision_digits": 30.5}, "'precision_digits'"),
+        ({"kind": "line", "n": 3, "base": "2", "precision_digits": True}, "'precision_digits'"),
+    ],
+    ids=["kind", "n-float", "n-bool", "n-whole-float", "width", "height", "bits",
+         "precision-float", "precision-bool"],
+)
+def test_bad_metric_fields(tmp_path, capsys, data, named):
+    m = _write(tmp_path, "bad.json", data)
     assert main(["vertices", "--metric", m]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_integer_strings_are_still_sizes(tmp_path, capsys):
+    m = _write(tmp_path, "m.json", {"kind": "line", "n": "3", "base": "2", "precision_digits": "20"})
+    assert main(["vertices", "--metric", m]) == 0
+    assert capsys.readouterr().out.startswith("4 vertices")
 
 
 def test_metric_that_is_not_an_object(tmp_path, capsys):

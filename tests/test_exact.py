@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from mdp_workbench import exact
 from mdp_workbench.exact import (
     DimensionError,
@@ -26,10 +27,8 @@ from mdp_workbench.exact import (
     as_vector,
     dot,
     format_scalar,
-    identity,
     lp_optimize,
     mat_mul,
-    mat_vec,
     parse_scalar,
     rank,
     solve_linear_system,
@@ -37,6 +36,14 @@ from mdp_workbench.exact import (
 )
 
 F = Fraction
+
+
+def identity(n):
+    return tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def mat_vec(a, x):
+    return tuple(dot(row, x) for row in a)
 
 
 # -- scalars ---------------------------------------------------------------
@@ -153,6 +160,86 @@ def test_solve_round_trip_random_invertible():
         res = solve_linear_system(a, mat_vec(a, x))
         assert isinstance(res, Unique)
         assert res.x == x
+
+
+def test_echelon_rows_have_positive_pivots_and_span_the_nullspace():
+    # The enumerations rely on both: a kernel's residual keeps d > 0 only
+    # because every pivot is positive.
+    rng = random.Random(31)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        echelon = []
+        while len(echelon) < n - 1:
+            entry = exact.echelon_row([rng.randint(-4, 4) for _ in range(n)], echelon, n)
+            if entry:
+                row, p = entry
+                assert row[p] > 0 and not any(row[:p])
+                assert all(row[q] == 0 for _, q in echelon)
+                echelon.append(entry)
+        u = exact.nullspace_vector(echelon, n)
+        free = next(c for c in range(n) if c not in {q for _, q in echelon})
+        assert u[free] > 0
+        assert all(sum(a * b for a, b in zip(row, u)) == 0 for row, _ in echelon)
+
+
+def _outcome(res):
+    return res.x if isinstance(res, Unique) else repr(res)
+
+
+def _random_system(rng, m, n, r):
+    """An m x n system of rank at most r with small, often zero, entries;
+    its right-hand side is consistent half the time."""
+    left = tuple(tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(r)) for _ in range(m))
+    right = tuple(tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)) for _ in range(r))
+    a = mat_mul(left, right)
+    if rng.random() < 0.5:
+        b = mat_vec(a, tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
+    else:
+        b = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m))
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda rng: (rng.randint(1, 5),) * 3,  # square, full rank when lucky
+        lambda rng: (rng.randint(4, 7), rng.randint(1, 3), 3),  # tall
+        lambda rng: (rng.randint(1, 3), rng.randint(4, 7), 3),  # wide
+        lambda rng: (rng.randint(2, 6), rng.randint(2, 6), 1),  # rank-deficient
+    ],
+    ids=["square", "tall", "wide", "deficient"],
+)
+def test_rank_and_solve_match_the_fraction_oracle(shape):
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(150):
+        m, n, r = shape(rng)
+        a, b = _random_system(rng, m, n, min(r, m, n))
+        assert rank(a) == oracle.rank(a)
+        got = _outcome(solve_linear_system(a, b))
+        assert got == oracle.solve(a, b)
+        seen.add(got if isinstance(got, str) else "unique")
+    assert len(seen) >= 2
+
+
+@pytest.mark.parametrize(
+    "a,b,expected",
+    [
+        (((1, 1), (1, 1)), (1, 2), "INCONSISTENT"),  # also underdetermined
+        (((1, 1, 1), (2, 2, 2)), (1, 3), "INCONSISTENT"),  # also underdetermined
+        (((0, 0), (1, 2), (0, 0)), (0, 3, 0), "UNDERDETERMINED"),  # zero rows
+        (((0, 0), (0, 0)), (0, 1), "INCONSISTENT"),  # zero rows, nonzero rhs
+        (((0, 3), (2, 0), (0, 0)), (1, 1, 0), (F(1, 2), F(1, 3))),  # zero row
+        (((), ()), (0, 0), ()),  # no columns
+        (((),), (5,), "INCONSISTENT"),  # no columns, nonzero rhs
+        ((), (), ()),  # the empty system
+    ],
+)
+def test_solve_edge_cases_match_the_fraction_oracle(a, b, expected):
+    a = tuple(tuple(F(v) for v in row) for row in a)
+    b = tuple(F(v) for v in b)
+    assert _outcome(solve_linear_system(a, b)) == oracle.solve(a, b) == expected
+    assert rank(a) == oracle.rank(a)
 
 
 # -- the simplex -----------------------------------------------------------
@@ -314,16 +401,16 @@ def _brute_force_lp(p: LPProblem):
         cost.append(F(0))
     keep: list = []  # a maximal independent set of rows
     for i in range(len(rows)):
-        if rank([[c[t] for c in cols] for t in keep + [i]]) == len(keep) + 1:
+        if oracle.rank([[c[t] for c in cols] for t in keep + [i]]) == len(keep) + 1:
             keep.append(i)
     best, bounded = None, False
     for basis in itertools.combinations(range(len(cols)), len(keep)):
         b = tuple(tuple(cols[j][i] for j in basis) for i in keep)
-        sol = solve_linear_system(b, tuple(rhs[i] for i in keep))
-        if not isinstance(sol, Unique):
+        sol = oracle.solve(b, tuple(rhs[i] for i in keep))
+        if not isinstance(sol, tuple):
             continue
         y = [F(0)] * len(cols)
-        for j, v in zip(basis, sol.x):
+        for j, v in zip(basis, sol):
             y[j] = v
         if min(y, default=0) < 0 or any(
             dot([c[i] for c in cols], y) != rhs[i] for i in range(len(rows))
@@ -331,7 +418,7 @@ def _brute_force_lp(p: LPProblem):
             continue
         value = dot(cost, y)
         best = value if best is None else min(best, value)
-        prices = solve_linear_system(transpose(b), tuple(cost[j] for j in basis)).x
+        prices = oracle.solve(transpose(b), tuple(cost[j] for j in basis))
         bounded = bounded or all(
             cost[j] >= sum(pi * cols[j][i] for pi, i in zip(prices, keep))
             for j in range(len(cols))

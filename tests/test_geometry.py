@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from conftest import rand_dx_channel, space_and_kernels
 from mdp_workbench import geometry
 from mdp_workbench import (
     Channel,
     ConstraintSystem,
     LPOptimal,
-    Unique,
     EnumerationBudgetExceeded,
     Hyper,
     anti_refine,
@@ -32,9 +32,7 @@ from mdp_workbench import (
     make_metric,
     random_response,
     random_response_dual,
-    rank,
     refines,
-    solve_linear_system,
     to_hyper,
     trivial_channel,
     uniform_prior,
@@ -338,12 +336,12 @@ def _brute_force_kernels(space, vertices):
     found = []
     for size in range(1, n + 1):
         for subset in itertools.combinations(vertices, size):
-            if rank(subset) != size:
+            if oracle.rank(subset) != size:
                 continue
             cols = tuple(tuple(v[x] for v in subset) for x in range(n))
-            sol = solve_linear_system(cols, uniform)
-            if isinstance(sol, Unique) and all(w > 0 for w in sol.x):
-                found.append(Hyper(space.labels, sol.x, subset))
+            sol = oracle.solve(cols, uniform)
+            if isinstance(sol, tuple) and all(w > 0 for w in sol):
+                found.append(Hyper(space.labels, sol, subset))
     return tuple(sorted(found, key=lambda h: (h.inners, h.outers)))
 
 
@@ -360,9 +358,9 @@ def _brute_force_vertices(cs):
             row[j] -= f
             rows.append(tuple(row))
         rows.append((F(1),) * n)
-        sol = solve_linear_system(tuple(rows), (F(0),) * (n - 1) + (F(1),))
-        if isinstance(sol, Unique) and is_polytope_point(cs, sol.x):
-            found.add(sol.x)
+        sol = oracle.solve(tuple(rows), (F(0),) * (n - 1) + (F(1),))
+        if isinstance(sol, tuple) and is_polytope_point(cs, sol):
+            found.add(sol)
     return tuple(sorted(found))
 
 
