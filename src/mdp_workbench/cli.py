@@ -276,15 +276,15 @@ def _cached_kernels(space: MetricSpace, args, limit: Optional[int]):
 def _cmd_vertices(args) -> int:
     space = metric_from_json(_read_json(args.metric))
     vertices, payload = _cached_vertices(space, args, args.limit)
+    if args.format == "json":
+        # Emit the payload string itself so cache hits are byte-identical.
+        _write(args, payload + "\n")
+        return 0
     lines = [f"{len(vertices)} vertices"]
     lines += [_fracs(v) for v in vertices]
     csv_rows = [list(space.labels)] + [
         [format_scalar(v) for v in vec] for vec in vertices
     ]
-    if args.format == "json":
-        # Emit the payload string itself so cache hits are byte-identical.
-        _write(args, payload + "\n")
-        return 0
     _emit(args, "\n".join(lines), None, csv_rows)
     return 0
 
@@ -292,6 +292,9 @@ def _cmd_vertices(args) -> int:
 def _cmd_kernels(args) -> int:
     space = metric_from_json(_read_json(args.metric))
     kernels, payload = _cached_kernels(space, args, args.limit)
+    if args.format == "json":
+        _write(args, payload + "\n")
+        return 0
     lines = [f"{len(kernels)} kernel mechanisms"]
     for i, k in enumerate(kernels):
         lines.append(f"kernel {i}:")
@@ -300,9 +303,6 @@ def _cmd_kernels(args) -> int:
     for i, k in enumerate(kernels):
         for o, inner in zip(k.outers, k.inners):
             csv_rows.append([i, format_scalar(o)] + [format_scalar(v) for v in inner])
-    if args.format == "json":
-        _write(args, payload + "\n")
-        return 0
     _emit(args, "\n".join(lines), None, csv_rows)
     return 0
 
@@ -429,6 +429,9 @@ def _cmd_channel_capacity(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
+    if args.samples < 0:
+        # The library refuses it too, but only after the kernels are built.
+        raise ValueError(f"samples must be non-negative, got {args.samples}")
     channel = channel_from_json(_read_json(args.channel))
     loss = loss_from_json(_read_json(args.loss))
     space = metric_from_json(_read_json(args.metric))

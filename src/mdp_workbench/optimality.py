@@ -12,11 +12,20 @@ Verdicts are three-valued and honest: ``optimal`` (every cell certified),
 ``counterexample`` (a prior and rival kernel, re-verified by direct utility
 evaluation before being returned), or ``unknown`` (the work bound was hit, or
 sampling found nothing — sampling alone can never certify optimality).
+
+Both modes prune each output column's actions by integer score vectors (loss
+and channel scaled once to integers).  Sampled mode also scores its priors
+with them: every sampled prior is an integer vector over its sum, so a
+channel's utility there is an integer dot-product sum over a known
+denominator, and only the counterexample it returns is recomputed in
+Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -333,32 +342,53 @@ class Verdict:
     detail: Optional[str] = None
 
 
-def _pruned_actions(channel: Channel, loss: LossFunction) -> list:
+def _integer_rows(rows: Matrix) -> tuple:
+    """``(d, int_rows)``: the rows times ``d``, the lcm of their entries'
+    denominators, as Python ints."""
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    return d, tuple(
+        tuple(v.numerator * (d // v.denominator) for v in row) for row in rows
+    )
+
+
+def _column_actions(channel: Channel, scaled_loss: tuple) -> tuple:
     """Per output column, the actions that can still win the per-column
-    minimum: strictly dominated actions and later duplicates are dropped.
-    The surviving set always realises the same column minimum."""
-    n = len(channel.x_labels)
-    out = []
+    minimum, with their integer score vectors.
+
+    ``scaled_loss`` is ``_integer_rows(loss.table)``.  Returns ``(d,
+    columns)``: ``columns[j]`` is ``(kept, vecs)``, where ``vecs[i][x]`` is
+    ``d * L[kept[i]][x] * C[x][j]`` and ``d`` is the loss's integer scale
+    times the channel's.  Strictly dominated actions and later duplicates
+    are dropped; positive scaling changes neither relation.  The surviving
+    set realises the same column minimum at every prior.
+    """
+    d_loss, loss_rows = scaled_loss
+    d_channel, channel_rows = _integer_rows(channel.rows)
+    columns = []
     for j in range(len(channel.y_labels)):
-        col = [row[j] for row in channel.rows]
-        vecs = [
-            tuple(col[x] * lrow[x] for x in range(n)) for lrow in loss.table
+        col = [row[j] for row in channel_rows]
+        vecs = [tuple(c * v for c, v in zip(col, lrow)) for lrow in loss_rows]
+        kept = [
+            w
+            for w, vec in enumerate(vecs)
+            if not any(
+                w2 != w
+                and all(a <= b for a, b in zip(vec2, vec))
+                and (vec2 != vec or w2 < w)
+                for w2, vec2 in enumerate(vecs)
+            )
         ]
-        kept = []
-        for w, vec in enumerate(vecs):
-            dominated = False
-            for w2, vec2 in enumerate(vecs):
-                if w2 == w:
-                    continue
-                if all(a <= b for a, b in zip(vec2, vec)) and (
-                    vec2 != vec or w2 < w
-                ):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(w)
-        out.append(kept)
-    return out
+        columns.append((kept, [vecs[w] for w in kept]))
+    return d_loss * d_channel, columns
+
+
+def _score(columns: list, weights: tuple) -> int:
+    """Sum over columns of the smallest kept score vector's dot product with
+    the integer prior weights."""
+    total = 0
+    for _, vecs in columns:
+        total += min([sum(map(operator.mul, vec, weights)) for vec in vecs])
+    return total
 
 
 def _strategy_count(cands: list) -> int:
@@ -389,8 +419,14 @@ def check_universal_l_optimal(
     silent truncation.
 
     Sampled mode evaluates a seeded battery of priors (uniform, every point
-    prior, and random rational ones) and can only ever return
-    ``counterexample`` or ``unknown``.
+    prior, and ``samples`` random ones, each ``w / sum(w)`` for an integer
+    vector ``w``) and can only ever return ``counterexample`` or
+    ``unknown``.  It scores every prior in integers: the loss and each
+    channel are scaled once to integers, so a channel's score at ``w`` is
+    a sum of integer dot products, and two channels are compared by
+    cross-multiplying their scales.  The first prior at which a kernel wins
+    is re-verified with ``posterior_uncertainty`` before it is returned.
+    A negative ``samples`` raises ``ValueError``.
     """
     if channel.x_labels != loss.x_labels:
         raise ValueError("channel and loss secrets do not match")
@@ -399,18 +435,22 @@ def check_universal_l_optimal(
             raise ValueError("kernel secrets do not match the channel")
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be 'exact' or 'sampled'")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
 
     n = len(channel.x_labels)
     ordered = sorted(kernels, key=lambda h: (h.inners, h.outers))
     rivals = [(k, from_hyper(k)[0]) for k in ordered]
+    scaled_loss = _integer_rows(loss.table)
 
     if mode == "sampled":
-        return _check_sampled(channel, loss, rivals, samples, seed)
+        return _check_sampled(channel, loss, scaled_loss, rivals, samples, seed)
 
-    cand_m = _pruned_actions(channel, loss)
-    rival_cands = [
-        (k, kc, _pruned_actions(kc, loss)) for k, kc in rivals
-    ]
+    def pruned(ch: Channel) -> list:
+        return [kept for kept, _ in _column_actions(ch, scaled_loss)[1]]
+
+    cand_m = pruned(channel)
+    rival_cands = [(k, kc, pruned(kc)) for k, kc in rivals]
     total = _strategy_count(cand_m) + sum(
         _strategy_count(c) for _, _, c in rival_cands
     )
@@ -492,36 +532,48 @@ def check_universal_l_optimal(
 def _check_sampled(
     channel: Channel,
     loss: LossFunction,
+    scaled_loss: tuple,
     rivals: list,
     samples: int,
     seed: int,
 ) -> Verdict:
     n = len(channel.x_labels)
     rng = random.Random(seed)
-    priors = [Prior(channel.x_labels, (Fraction(1, n),) * n)]
-    for x in range(n):
-        probs = tuple(ONE if i == x else ZERO for i in range(n))
-        priors.append(Prior(channel.x_labels, probs))
+    # Each prior is an integer weight vector over its sum: the uniform prior,
+    # every point prior, then the seeded random ones.
+    battery = [(1,) * n]
+    battery += [tuple(int(i == x) for i in range(n)) for x in range(n)]
     for _ in range(samples):
         weights = [rng.randint(0, 20) for _ in range(n)]
         if sum(weights) == 0:
             weights[rng.randrange(n)] = 1
-        total = sum(weights)
-        priors.append(
-            Prior(channel.x_labels, tuple(Fraction(w, total) for w in weights))
-        )
+        battery.append(tuple(weights))
+    # A channel's posterior uncertainty at weights w is _score(w) / (d * Σw);
+    # the weight sum is shared, so the comparison cross-multiplies the d's.
+    d_mine, mine_cols = _column_actions(channel, scaled_loss)
+    mine = [_score(mine_cols, weights) for weights in battery]
     for k, kc in rivals:
-        for prior in priors:
-            mine = posterior_uncertainty(loss, prior, channel)
-            theirs = posterior_uncertainty(loss, prior, kc)
-            if mine > theirs:
-                return Verdict(
-                    "counterexample", prior=prior, rival=k, margin=mine - theirs
+        d_k, k_cols = _column_actions(kc, scaled_loss)
+        for weights, s_mine in zip(battery, mine):
+            excess = s_mine * d_k - _score(k_cols, weights) * d_mine
+            if excess > 0:
+                total = sum(weights)
+                prior = Prior(
+                    channel.x_labels, tuple(Fraction(w, total) for w in weights)
                 )
+                margin = Fraction(excess, d_mine * d_k * total)
+                gap = posterior_uncertainty(loss, prior, channel) - (
+                    posterior_uncertainty(loss, prior, kc)
+                )
+                if gap != margin:
+                    raise AssertionError(
+                        "sampled counterexample failed re-verification"
+                    )
+                return Verdict("counterexample", prior=prior, rival=k, margin=gap)
     return Verdict(
         "unknown",
         detail=(
-            f"sampled {len(priors)} priors against {len(rivals)} kernels "
+            f"sampled {len(battery)} priors against {len(rivals)} kernels "
             "without finding a violation; sampling cannot certify optimality"
         ),
     )

@@ -1,13 +1,18 @@
-"""Fraction Gauss-Jordan elimination: the tests' oracle for rank and linear
-solving.
+"""The tests' Fraction oracles.
 
-It shares no code with the package, whose row reduction is a fraction-free
-integer echelon, so tests may check the package's ``rank``,
-``solve_linear_system`` and enumerations against it.
+* Gauss-Jordan elimination for rank and linear solving.  The package's row
+  reduction is a fraction-free integer echelon, so tests may check its
+  ``rank``, ``solve_linear_system`` and enumerations against this one.
+* The sampled universal-optimality loop, prior by prior in Fractions.  The
+  package scores its sampled priors in integers, so tests may check its
+  sampled verdicts against this one.
+
+Neither shares code with the package.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 UNDERDETERMINED = "UNDERDETERMINED"
@@ -58,3 +63,56 @@ def solve(a, b):
     for i, c in enumerate(pivots):
         x[c] = rows[i][ncols]
     return tuple(x)
+
+
+def kernel_rows(kernel) -> tuple:
+    """A kernel's channel rows by Bayes inversion: ``C[x][j]`` is
+    ``outer_j * inner_j[x] / prior[x]``, where the prior is the mean posterior.
+    """
+    rows = []
+    for x in range(len(kernel.x_labels)):
+        px = sum(o * inner[x] for o, inner in zip(kernel.outers, kernel.inners))
+        rows.append(tuple(o * inner[x] / px for o, inner in zip(kernel.outers, kernel.inners)))
+    return tuple(rows)
+
+
+def uncertainty(table, probs, rows) -> Fraction:
+    """Sum over output columns of the smallest expected loss of an action."""
+    total = Fraction(0)
+    for j in range(len(rows[0])):
+        joint = [p * row[j] for p, row in zip(probs, rows)]
+        total += min(sum(v * q for v, q in zip(lrow, joint)) for lrow in table)
+    return total
+
+
+def sampled_verdict(channel, loss, kernels, samples: int, seed: int) -> tuple:
+    """``(kind, prior probs, rival, margin, detail)`` of a sampled check.
+
+    The battery is the uniform prior, every point prior, then ``samples``
+    seeded priors ``w / sum(w)`` with integer ``w`` in 0..20; kernels are
+    tried in canonical order, and for each kernel the priors in battery
+    order.  The first prior at which the kernel's uncertainty is lower
+    than the channel's is the counterexample.
+    """
+    n = len(channel.x_labels)
+    rng = random.Random(seed)
+    priors = [(Fraction(1, n),) * n]
+    priors += [tuple(Fraction(int(i == x)) for i in range(n)) for x in range(n)]
+    for _ in range(samples):
+        weights = [rng.randint(0, 20) for _ in range(n)]
+        if sum(weights) == 0:
+            weights[rng.randrange(n)] = 1
+        priors.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    ordered = sorted(kernels, key=lambda h: (h.inners, h.outers))
+    for k in ordered:
+        rows = kernel_rows(k)
+        for probs in priors:
+            mine = uncertainty(loss.table, probs, channel.rows)
+            theirs = uncertainty(loss.table, probs, rows)
+            if mine > theirs:
+                return "counterexample", probs, k, mine - theirs, None
+    detail = (
+        f"sampled {len(priors)} priors against {len(ordered)} kernels "
+        "without finding a violation; sampling cannot certify optimality"
+    )
+    return "unknown", None, None, None, detail

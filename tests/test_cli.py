@@ -24,6 +24,7 @@ from mdp_workbench import (
     Channel,
     Prior,
 )
+from mdp_workbench import cli
 from mdp_workbench.cli import main
 
 F = Fraction
@@ -245,6 +246,31 @@ def test_optimal_sampled_unknown_exits_zero(tmp_path, capsys):
     assert main(["optimal", "--channel", c, "--loss", l, "--metric", m,
                  "--mode", "sample", "--samples", "20", "--seed", "3"]) == 0
     assert capsys.readouterr().out.startswith("unknown:")
+
+
+def test_optimal_sampled_with_no_random_priors(tmp_path, capsys):
+    m = _metric(tmp_path, kind="line", n=3, base="2")
+    c = _channel(tmp_path, "geo.json", geometric_truncated(3, "1/2"))
+    l = _write(tmp_path, "bin.json", loss_to_json(make_loss("bin", labels=("0", "1", "2"))))
+    assert main(["optimal", "--channel", c, "--loss", l, "--metric", m,
+                 "--mode", "sample", "--samples", "0"]) == 0
+    assert capsys.readouterr().out.startswith("unknown: sampled 4 priors against")
+
+
+def test_optimal_refuses_negative_samples(tmp_path, capsys, monkeypatch):
+    m = _metric(tmp_path, kind="line", n=3, base="2")
+    c = _channel(tmp_path, "geo.json", geometric_truncated(3, "1/2"))
+    l = _write(tmp_path, "bin.json", loss_to_json(make_loss("bin", labels=("0", "1", "2"))))
+
+    def no_kernels(*args):
+        raise AssertionError("kernels were enumerated")
+
+    monkeypatch.setattr(cli, "_cached_kernels", no_kernels)
+    assert main(["optimal", "--channel", c, "--loss", l, "--metric", m,
+                 "--mode", "sample", "--samples", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "samples" in captured.err
 
 
 def test_optimal_json_counterexample(tmp_path, capsys):

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracle
 from conftest import (
     rand_dx_channel,
     rand_loss,
     rand_monotone_profile,
+    rand_stochastic_rows,
     space_and_kernels,
 )
 from mdp_workbench import (
+    Channel,
     Hyper,
     binary_optimal,
     check_universal_l_optimal,
@@ -308,6 +312,29 @@ def test_sampled_mode_finds_counterexamples():
     assert (again.prior, again.rival, again.margin) == (v.prior, v.rival, v.margin)
 
 
+def test_sampled_mode_with_no_random_priors():
+    _, _, kernels = space_and_kernels("line", 3)
+    ch = geometric_truncated(3, "1/2")
+    loss = make_loss("bin", labels=ch.x_labels)
+    v = check_universal_l_optimal(ch, loss, kernels, mode="sampled", samples=0)
+    assert v.kind == "unknown"
+    assert v.detail.startswith(f"sampled 4 priors against {len(kernels)} kernels")
+
+
+def test_negative_samples_are_refused_before_rivals_are_built(monkeypatch):
+    _, _, kernels = space_and_kernels("line", 3)
+    ch = geometric_truncated(3, "1/2")
+    loss = make_loss("bin", labels=ch.x_labels)
+
+    def no_rivals(hyper):
+        raise AssertionError("a rival was built")
+
+    monkeypatch.setattr(optimality, "from_hyper", no_rivals)
+    for mode in ("sampled", "exact"):
+        with pytest.raises(ValueError, match="samples"):
+            check_universal_l_optimal(ch, loss, kernels, mode=mode, samples=-1)
+
+
 def test_budget_refusal_is_explicit():
     sp, _, kernels = space_and_kernels("discrete", 3)
     ch = random_response(3, "1/2")
@@ -326,6 +353,116 @@ def test_verdict_argument_validation():
         check_universal_l_optimal(
             ch, make_loss("bin", labels=ch.x_labels), kernels, mode="guess"
         )
+
+
+# -- sampled mode against the Fraction oracle ---------------------------------
+
+
+def _verdict_fields(v):
+    probs = None if v.prior is None else v.prior.probs
+    return v.kind, probs, v.rival, v.margin, v.detail
+
+
+def _with_zero_column(ch):
+    return Channel(
+        ch.x_labels,
+        ch.y_labels + ("never",),
+        tuple(row + (F(0),) for row in ch.rows),
+    )
+
+
+def _with_zero_row(loss):
+    return make_loss(
+        "custom",
+        w_labels=loss.w_labels + ("free",),
+        x_labels=loss.x_labels,
+        table=list(loss.table) + [[0] * len(loss.x_labels)],
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,n", [("line", 3), ("line", 4), ("discrete", 3), ("hamming", 2)]
+)
+def test_sampled_verdicts_match_the_fraction_loop(kind, n):
+    rng = random.Random(f"{kind}-{n}")
+    sp, _, kernels = space_and_kernels(kind, n)
+    first, last = from_hyper(kernels[0])[0], from_hyper(kernels[-1])[0]
+    channels = [
+        first,
+        last,
+        trivial_channel(sp.labels),
+        external_choice(first, last, "1/3"),
+        rand_dx_channel(rng, sp, kernels),
+        _with_zero_column(rand_dx_channel(rng, sp, kernels)),
+    ]
+    losses = [
+        make_loss("bin", labels=sp.labels),
+        rand_loss(rng, sp.labels),
+        _with_zero_row(rand_loss(rng, sp.labels)),
+    ]
+    kinds = set()
+    for i, (ch, loss) in enumerate(itertools.product(channels, losses)):
+        samples, seed = (0 if i % 4 == 0 else 12), rng.randrange(100)
+        got = check_universal_l_optimal(
+            ch, loss, kernels, mode="sampled", samples=samples, seed=seed
+        )
+        assert _verdict_fields(got) == oracle.sampled_verdict(
+            ch, loss, kernels, samples, seed
+        )
+        kinds.add(got.kind)
+    assert kinds == {"counterexample", "unknown"}
+
+
+def test_sampled_counterexample_at_a_random_prior_matches_the_fraction_loop():
+    rng = random.Random(5)
+    sp, _, kernels = space_and_kernels("line", 3)
+    fixed = [(F(1, 3),) * 3] + [
+        tuple(F(int(i == x)) for i in range(3)) for x in range(3)
+    ]
+    for _ in range(10):
+        loss, ch = rand_loss(rng, sp.labels), rand_dx_channel(rng, sp, kernels)
+        want = oracle.sampled_verdict(ch, loss, kernels, 30, 0)
+        if want[0] == "counterexample" and want[1] not in fixed:
+            break
+    else:
+        pytest.fail("no draw put the first counterexample at a random prior")
+    got = check_universal_l_optimal(
+        ch, loss, kernels, mode="sampled", samples=30, seed=0
+    )
+    assert _verdict_fields(got) == want
+
+
+def test_column_actions_keep_the_undominated_first_of_equals():
+    rng = random.Random(83)
+    for _ in range(60):
+        nx = rng.randint(1, 4)
+        labels = tuple(str(x) for x in range(nx))
+        # Small numerators make equal and dominated score vectors common.
+        loss = rand_loss(rng, labels, actions=rng.randint(1, 6), num_max=3)
+        ch = Channel(
+            labels,
+            tuple(f"y{j}" for j in range(3)),
+            rand_stochastic_rows(rng, nx, 3),
+        )
+        d, columns = optimality._column_actions(
+            ch, optimality._integer_rows(loss.table)
+        )
+        for j, (kept, vecs) in enumerate(columns):
+            scores = [
+                tuple(lrow[x] * ch.rows[x][j] for x in range(nx))
+                for lrow in loss.table
+            ]
+            want = [
+                w
+                for w, s in enumerate(scores)
+                if scores.index(s) == w
+                and not any(
+                    t != s and all(a <= b for a, b in zip(t, s)) for t in scores
+                )
+            ]
+            assert kept == want
+            assert vecs == [tuple(d * v for v in scores[w]) for w in kept]
+            assert all(isinstance(v, int) for vec in vecs for v in vec)
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -482,3 +619,18 @@ def test_counterexample_is_re_verified(monkeypatch):
     loss = make_loss("bin", labels=sp.labels)
     with pytest.raises(AssertionError, match="re-verification"):
         check_universal_l_optimal(random_response(3, "1/2"), loss, kernels)
+
+
+def test_sampled_counterexample_is_re_verified(monkeypatch):
+    sp, _, kernels = space_and_kernels("discrete", 3)
+    ch = random_response(3, "1/2")
+    real = optimality.posterior_uncertainty
+
+    def shifted(loss, prior, channel):
+        # Only the candidate's value moves, so the recomputed gap differs.
+        return real(loss, prior, channel) + (F(1, 1000) if channel is ch else 0)
+
+    monkeypatch.setattr(optimality, "posterior_uncertainty", shifted)
+    loss = make_loss("bin", labels=sp.labels)
+    with pytest.raises(AssertionError, match="re-verification"):
+        check_universal_l_optimal(ch, loss, kernels, mode="sampled")

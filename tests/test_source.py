@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import mdp_workbench
@@ -58,6 +59,27 @@ def test_package_modules_use_every_import():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
                         found.append(f"{path}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library_and_mpmath():
+    # mpmath is the only runtime dependency; numpy and scipy may be installed
+    # but must not creep in.  Imports inside functions count too.
+    allowed = set(sys.stdlib_module_names) | {"mpmath"}
+    found = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
     assert found == []
 
 
