@@ -16,9 +16,11 @@ The linear-programming solver is a dense two-phase simplex on a
 fraction-free integer tableau (Bareiss pivoting over a common determinant),
 with Dantzig's entering rule and a Bland fallback on degenerate stalls.  It is
 deterministic — the same problem yields the same optimal basic solution, bit
-for bit — and every optimum it returns is certified first: the point against
-the stated problem, and the row multipliers read off the final cost row as a
-dual solution with the same objective value.
+for bit — and every optimum it returns is certified first, in the integers of
+its starting rows: the point against every stated row and bound, and the row
+multipliers read off the final cost row as a dual solution with the same
+objective value.  Problems may be stated with ``int`` entries as well as
+Fractions; a caller whose rows are integers already saves the scaling.
 
 >>> from fractions import Fraction
 >>> parse_scalar("0.25")
@@ -277,7 +279,8 @@ def solve_linear_system(a: Matrix, b: Sequence[Fraction]) -> LinearOutcome:
 
 # --------------------------------------------------------------------------
 # Linear programming: two-phase simplex on a fraction-free integer tableau,
-# with an exact primal and dual check of every optimum it returns.
+# with a primal and a dual check of every optimum it returns, both in the
+# integers of the starting rows.
 # --------------------------------------------------------------------------
 
 
@@ -287,7 +290,9 @@ class LPProblem:
     per-variable lower bounds (``None`` entry = free variable).
 
     The default bound is 0 for every variable.  Upper bounds, where needed,
-    are expressed as ordinary <= rows by the caller.
+    are expressed as ordinary <= rows by the caller.  Entries are Fractions
+    or ``int``s (both exact); each row is scaled to integers by the lcm of
+    its denominators, which for an ``int`` row is 1.
     """
 
     objective: Vector
@@ -420,10 +425,12 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
     Pivoting is Dantzig's rule with a Bland fallback on degenerate stalls, so
     the budget only runs out on genuinely huge inputs, never on a cycle.
 
-    An optimum is certified before it is returned: the point is checked
-    against the stated problem, and the multipliers read off the final cost
-    row are checked to be dual feasible with the same objective value.  A
-    failed check raises ``AssertionError``.
+    An optimum is certified before it is returned, in the integers of the
+    starting rows: the basic values must be nonnegative and satisfy every
+    starting row exactly (so the point satisfies every stated row and
+    bound), and the multipliers read off the final cost row must be dual
+    feasible with the same objective value.  A failed check raises
+    ``AssertionError``.  The value is read off the certified integers.
     """
     n = len(problem.objective)
     if problem.lower_bounds is not None and len(problem.lower_bounds) != n:
@@ -439,26 +446,18 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
 
     lower = problem.lower_bounds if problem.lower_bounds is not None else (ZERO,) * n
 
-    # Transformed variables: x[j] = shift[j] + y[pos[j]] - y[neg[j]] where the
-    # negative part exists only for free variables.
-    shift = [lb if lb is not None else ZERO for lb in lower]
-    pos = list(range(n))
-    neg: list[int] = [-1] * n
-    next_col = n
-    for j, lb in enumerate(lower):
-        if lb is None:
-            neg[j] = next_col
-            next_col += 1
+    # Transformed variables: x[j] = shift[j] + y[j] - y[n + k] where the
+    # negative part exists only for the k-th free variable, free[k].
+    shift = [ZERO if lb is None else lb for lb in lower]
+    free = [j for j, lb in enumerate(lower) if lb is None]
+    next_col = n + len(free)
     n_eq = len(problem.eq_rows)
     width = next_col + len(problem.ub_rows)  # structural + slack columns
 
     sense = -1 if problem.maximize else 1  # internally always minimize
-    obj = [ZERO] * width
-    for j, coef in enumerate(problem.objective):
-        if coef:
-            obj[pos[j]] += sense * coef
-            if neg[j] >= 0:
-                obj[neg[j]] -= sense * coef
+    obj = [sense * c for c in problem.objective]
+    obj += [-obj[j] for j in free]
+    obj += [0] * len(problem.ub_rows)
 
     m = len(constraints)
 
@@ -479,18 +478,12 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
     weight = [1] * width
     start, scales = [], []
     for i, (row, rhs) in enumerate(zip(constraints, rhss)):
-        coefs = {}
-        for j, coef in enumerate(row):
-            if coef:
-                coefs[pos[j]] = coef
-                if neg[j] >= 0:
-                    coefs[neg[j]] = -coef
-        scale = lcm(rhs.denominator, *(c.denominator for c in coefs.values()))
+        coefs = list(row) + [-row[j] for j in free]
+        scale = lcm(rhs.denominator, *[c.denominator for c in coefs])
         signed = -scale if rhs < 0 else scale
-        t = [0] * (ncols + 1)
-        for j, c in coefs.items():
-            t[j] = c.numerator * (signed // c.denominator)
-        t[-1] = rhs.numerator * (signed // rhs.denominator)
+        t = [c.numerator * (signed // c.denominator) for c in coefs]
+        t += [0] * (ncols - next_col)
+        t.append(rhs.numerator * (signed // rhs.denominator))
         if i >= n_eq:
             t[next_col + i - n_eq] = -1 if rhs < 0 else 1
             weight[next_col + i - n_eq] = scale
@@ -528,8 +521,8 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
     basis = [tab.basis[i] for i in keep]
 
     # Phase 2: the true objective, in integers, reduced against the basis.
-    scale = lcm(*(c.denominator for c in obj))
-    costs = [c.numerator * (scale // c.denominator) for c in obj]
+    obj_scale = lcm(*(c.denominator for c in obj))
+    costs = [c.numerator * (obj_scale // c.denominator) for c in obj]
     cost = [tab.det * c for c in costs] + [0] * (len(art_rows) + 1)
     for row, b in zip(rows, basis):
         f = costs[b]
@@ -539,26 +532,19 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
     if not tab.run(weight, 2):
         return LP_UNBOUNDED
 
+    # Primal check, in the integers of the starting rows: each basic column
+    # is its row's last entry over det and every other column is 0.  No
+    # value may be negative (so every bound and slack holds), no artificial
+    # may be basic, and each starting row must hold exactly (so every eq and
+    # ub row of the stated problem does).
     det = tab.det
-    vals = [ZERO] * width
-    for row, b in zip(tab.rows, basis):
-        vals[b] = Fraction(row[-1], det)
-    x = tuple(
-        shift[j] + vals[pos[j]] - (vals[neg[j]] if neg[j] >= 0 else ZERO)
-        for j in range(n)
-    )
-
-    # Exact feasibility re-check: cheap insurance that the bookkeeping above
-    # never drifts from the stated problem.
-    for row, rhs in zip(problem.eq_rows, problem.eq_rhs):
-        if dot(row, x) != rhs:
-            raise AssertionError("simplex returned an infeasible point (eq)")
-    for row, rhs in zip(problem.ub_rows, problem.ub_rhs):
-        if dot(row, x) > rhs:
-            raise AssertionError("simplex returned an infeasible point (ub)")
-    for j, lb in enumerate(lower):
-        if lb is not None and x[j] < lb:
-            raise AssertionError("simplex returned an infeasible point (bound)")
+    basic = [(b, row[-1]) for row, b in zip(tab.rows, basis)]
+    if any(v < 0 or b >= width for b, v in basic):
+        raise AssertionError("simplex returned an infeasible point (bound)")
+    for i, row in enumerate(start):
+        if sum([row[b] * v for b, v in basic]) != row[-1] * det:
+            kind = "eq" if i < n_eq else "ub"
+            raise AssertionError(f"simplex returned an infeasible point ({kind})")
 
     # Dual certificate, in the integers of the starting rows: the final cost
     # row holds -det * y at each row's unit column, where y are the row
@@ -571,12 +557,22 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
         y = -cost[u]
         if y:
             dual += y * row[-1]
-            for j in range(width):
-                if row[j]:
-                    reduced[j] -= y * row[j]
+            reduced = [r - y * a for r, a in zip(reduced, row)]
     if any(r < 0 for r in reduced):
         raise AssertionError("simplex optimum failed its dual check (reduced cost)")
-    if dual != sum(costs[b] * row[-1] for row, b in zip(tab.rows, basis)):
+    primal = sum([costs[b] * v for b, v in basic])
+    if dual != primal:
         raise AssertionError("simplex optimum failed its dual check (objective)")
 
-    return LPOptimal(dot(problem.objective, x), x)
+    # The point and its value, read off the certified integers.
+    num = [0] * width
+    for b, v in basic:
+        num[b] = v
+    for k, j in enumerate(free):
+        num[j] -= num[n + k]
+    x = [Fraction(v, det) for v in num[:n]]
+    value = Fraction(sense * primal, obj_scale * det)
+    if any(shift):
+        x = [v + lb for v, lb in zip(x, shift)]
+        value += dot(problem.objective, shift)
+    return LPOptimal(value, tuple(x))

@@ -14,11 +14,13 @@ evaluation before being returned), or ``unknown`` (the work bound was hit, or
 sampling found nothing — sampling alone can never certify optimality).
 
 Both modes prune each output column's actions by integer score vectors (loss
-and channel scaled once to integers).  Sampled mode also scores its priors
-with them: every sampled prior is an integer vector over its sum, so a
-channel's utility there is an integer dot-product sum over a known
-denominator, and only the counterexample it returns is recomputed in
-Fractions.
+and channel scaled once to integers), and both work in those integers.
+Exact mode states every cell LP with them, so the simplex gets integer rows
+and no Fraction is built until a cell shows a counterexample.  Sampled mode
+scores its priors with them: every sampled prior is an integer vector over
+its sum, so a channel's utility there is an integer dot-product sum over a
+known denominator.  In both modes only the counterexample returned is
+recomputed in Fractions.
 """
 
 from __future__ import annotations
@@ -391,10 +393,10 @@ def _score(columns: list, weights: tuple) -> int:
     return total
 
 
-def _strategy_count(cands: list) -> int:
+def _strategy_count(columns: list) -> int:
     total = 1
-    for c in cands:
-        total *= len(c)
+    for kept, _ in columns:
+        total *= len(kept)
     return total
 
 
@@ -412,8 +414,12 @@ def check_universal_l_optimal(
 
     Exact mode sweeps, for each kernel, the finitely many prior regions on
     which one strategy is the kernel's best reply, and maximises the utility
-    gap on each region with an exact LP.  Ties count as optimal; any strict
-    win for a kernel is returned as a counterexample after an independent
+    gap on each region with an exact LP.  Each cell's LP is stated in
+    integers, straight from the score vectors of the candidate and the
+    kernel (scales ``d_m`` and ``d_k``), so its value is the gap times
+    ``d_k``.  Only a cell with a positive value builds Fractions: its prior,
+    and the margin ``value / d_k``.  Ties count as optimal; any strict win
+    for a kernel is returned as a counterexample after an independent
     re-evaluation of both utilities at the found prior.  If the pruned
     strategy count exceeds ``budget``, the verdict is ``unknown`` — never a
     silent truncation.
@@ -426,7 +432,7 @@ def check_universal_l_optimal(
     a sum of integer dot products, and two channels are compared by
     cross-multiplying their scales.  The first prior at which a kernel wins
     is re-verified with ``posterior_uncertainty`` before it is returned.
-    A negative ``samples`` raises ``ValueError``.
+    A negative ``samples`` or ``budget`` raises ``ValueError``.
     """
     if channel.x_labels != loss.x_labels:
         raise ValueError("channel and loss secrets do not match")
@@ -437,6 +443,8 @@ def check_universal_l_optimal(
         raise ValueError("mode must be 'exact' or 'sampled'")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
 
     n = len(channel.x_labels)
     ordered = sorted(kernels, key=lambda h: (h.inners, h.outers))
@@ -446,13 +454,10 @@ def check_universal_l_optimal(
     if mode == "sampled":
         return _check_sampled(channel, loss, scaled_loss, rivals, samples, seed)
 
-    def pruned(ch: Channel) -> list:
-        return [kept for kept, _ in _column_actions(ch, scaled_loss)[1]]
-
-    cand_m = pruned(channel)
-    rival_cands = [(k, kc, pruned(kc)) for k, kc in rivals]
-    total = _strategy_count(cand_m) + sum(
-        _strategy_count(c) for _, _, c in rival_cands
+    d_m, cand_cols = _column_actions(channel, scaled_loss)
+    rival_cols = [(k, kc, *_column_actions(kc, scaled_loss)) for k, kc in rivals]
+    total = _strategy_count(cand_cols) + sum(
+        _strategy_count(cols) for _, _, _, cols in rival_cols
     )
     if total > budget:
         return Verdict(
@@ -463,53 +468,48 @@ def check_universal_l_optimal(
             ),
         )
 
+    # Every cell is an LP over (pi, t) in integers: maximise
+    # d_k * sum(t) - sum_y v_k[s_y] . pi, where the candidate's epigraph
+    # rows d_m * t_y - v_m . pi <= 0 (shared by every cell) hold each t_y
+    # at its column minimum, and the rival's best-reply rows
+    # (v_k[s_y] - v_k[w]) . pi <= 0 keep pi in the strategy's cell.
     ym = len(channel.y_labels)
-    # Epigraph rows for the candidate channel are shared by every cell.
     epi_rows = []
-    for y in range(ym):
-        col = [row[y] for row in channel.rows]
-        for w in cand_m[y]:
-            lrow = loss.table[w]
-            row = [-(col[x] * lrow[x]) for x in range(n)]
-            row += [ONE if yy == y else ZERO for yy in range(ym)]
-            epi_rows.append(tuple(row))
-    eq_row = (ONE,) * n + (ZERO,) * ym
+    for y, (_, vecs) in enumerate(cand_cols):
+        for vec in vecs:
+            tail = [0] * ym
+            tail[y] = d_m
+            epi_rows.append(tuple([-v for v in vec] + tail))
+    eq_row = tuple([1] * n + [0] * ym)
+    zeros = [0] * ym
 
-    for k, kc, cands in rival_cands:
-        yk = len(kc.y_labels)
-        cols = [[row[y] for row in kc.rows] for y in range(yk)]
-        for strategy in itertools.product(*cands):
-            objective = list((ZERO,) * (n + ym))
-            for y in range(yk):
-                lrow = loss.table[strategy[y]]
-                col = cols[y]
-                for x in range(n):
-                    if col[x] and lrow[x]:
-                        objective[x] -= col[x] * lrow[x]
-            for y in range(ym):
-                objective[n + y] = ONE
-
+    for k, kc, d_k, cols in rival_cols:
+        # replies[y][s]: the best-reply rows of choosing s in column y.
+        replies = [
+            [
+                [
+                    tuple([a - b for a, b in zip(vec, other)] + zeros)
+                    for w, other in enumerate(vecs)
+                    if w != s
+                ]
+                for s, vec in enumerate(vecs)
+            ]
+            for _, vecs in cols
+        ]
+        t_part = [d_k] * ym
+        for strategy in itertools.product(*(range(len(v)) for _, v in cols)):
             ub_rows = list(epi_rows)
-            for y in range(yk):
-                srow = loss.table[strategy[y]]
-                col = cols[y]
-                for w in cands[y]:
-                    if w == strategy[y]:
-                        continue
-                    wrow = loss.table[w]
-                    row = tuple(
-                        col[x] * (srow[x] - wrow[x]) for x in range(n)
-                    ) + (ZERO,) * ym
-                    ub_rows.append(row)
-
+            for rows, s in zip(replies, strategy):
+                ub_rows += rows[s]
+            chosen = [vecs[s] for (_, vecs), s in zip(cols, strategy)]
             res = lp_optimize(
                 LPProblem(
-                    objective=tuple(objective),
+                    objective=tuple([-sum(c) for c in zip(*chosen)] + t_part),
                     maximize=True,
                     eq_rows=(eq_row,),
-                    eq_rhs=(ONE,),
+                    eq_rhs=(1,),
                     ub_rows=tuple(ub_rows),
-                    ub_rhs=(ZERO,) * len(ub_rows),
+                    ub_rhs=(0,) * len(ub_rows),
                 )
             )
             if res is LP_INFEASIBLE:
@@ -518,10 +518,11 @@ def check_universal_l_optimal(
                 raise AssertionError("a strategy cell's LP is unbounded")
             if res.value > 0:
                 prior = Prior(channel.x_labels, tuple(res.point[:n]))
+                margin = res.value / d_k
                 gap = posterior_uncertainty(loss, prior, channel) - (
                     posterior_uncertainty(loss, prior, kc)
                 )
-                if gap != res.value:
+                if gap != margin:
                     raise AssertionError("counterexample failed re-verification")
                 return Verdict(
                     "counterexample", prior=prior, rival=k, margin=gap

@@ -6,12 +6,18 @@
 * The sampled universal-optimality loop, prior by prior in Fractions.  The
   package scores its sampled priors in integers, so tests may check its
   sampled verdicts against this one.
+* The exact universal-optimality loop, cell by cell in Fractions, with each
+  cell maximised by brute force over its vertices.  The package states its
+  cells in integers and solves them with its simplex, so tests may check its
+  exact verdicts against this one.
 
-Neither shares code with the package.
+None of them shares code with the package.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -116,3 +122,99 @@ def sampled_verdict(channel, loss, kernels, samples: int, seed: int) -> tuple:
         "without finding a violation; sampling cannot certify optimality"
     )
     return "unknown", None, None, None, detail
+
+
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _kept_columns(table, rows) -> list:
+    """Per output column, the expected-loss vectors ``L[w][x] * C[x][j]`` of
+    the actions that can still win the column minimum, with their action
+    indices: strictly dominated actions and later duplicates are dropped."""
+    columns = []
+    for j in range(len(rows[0])):
+        vecs = [tuple(l * row[j] for l, row in zip(lrow, rows)) for lrow in table]
+        kept = [
+            w
+            for w, s in enumerate(vecs)
+            if vecs.index(s) == w
+            and not any(t != s and all(a <= b for a, b in zip(t, s)) for t in vecs)
+        ]
+        columns.append([(w, vecs[w]) for w in kept])
+    return columns
+
+
+def _primitive(row) -> tuple:
+    """A hyperplane's normal scaled to coprime integers, first nonzero
+    entry positive, so that equal hyperplanes compare equal."""
+    scale = math.lcm(*(v.denominator for v in row))
+    ints = [int(v * scale) for v in row]
+    g = math.gcd(*ints)
+    sign = next(1 if v > 0 else -1 for v in ints if v)
+    return tuple(sign * v // g for v in ints)
+
+
+def _cell_maximum(mine, theirs, rows, n: int):
+    """Maximise ``sum_y min_a mine[y][a] . p - theirs . p`` over the priors
+    ``p`` with ``r . p <= 0`` for every ``r`` in ``rows``, by brute force.
+
+    ``mine`` is the candidate's kept expected-loss vectors per column,
+    ``theirs`` the rival strategy's summed expected-loss vector and ``rows``
+    its best-reply rows.  The objective is concave and piecewise linear, so
+    its maximum over the cell sits at a point fixed by ``sum(p) = 1`` and
+    ``n - 1`` independent hyperplanes among ``p_x = 0``, the best-reply rows
+    and the candidate's ties ``a . p = b . p``.  Every choice is solved with
+    :func:`solve`.  Returns ``(value, p)`` at the first best point, or None
+    if the cell is empty.
+    """
+    planes = [tuple(Fraction(int(i == x)) for i in range(n)) for x in range(n)]
+    planes += rows
+    for vecs in mine:
+        for a, b in itertools.combinations(vecs, 2):
+            planes.append(tuple(u - v for u, v in zip(a, b)))
+    distinct = {}
+    for plane in planes:
+        if any(plane):
+            distinct.setdefault(_primitive(plane), plane)
+    best = None
+    ones = (Fraction(1),) * n
+    for chosen in itertools.combinations(distinct.values(), n - 1):
+        p = solve((ones,) + chosen, (Fraction(1),) + (Fraction(0),) * (n - 1))
+        if not isinstance(p, tuple) or min(p) < 0:
+            continue
+        if any(_dot(r, p) > 0 for r in rows):
+            continue
+        value = sum(min(_dot(v, p) for v in vecs) for vecs in mine)
+        value -= _dot(theirs, p)
+        if best is None or value > best[0]:
+            best = (value, p)
+    return best
+
+
+def exact_verdict(channel, loss, kernels) -> tuple:
+    """``(kind, rival, margin, cell)`` of an exact check, where ``cell`` is
+    the rival strategy (one action per rival column) whose cell first holds
+    a prior at which the rival beats the channel.
+
+    Kernels are tried in canonical order and, for each, the strategies over
+    its kept actions in product order; the first cell with a positive
+    maximum gap gives the counterexample and that maximum is its margin.
+    """
+    n = len(channel.x_labels)
+    mine = [[v for _, v in col] for col in _kept_columns(loss.table, channel.rows)]
+    for k in sorted(kernels, key=lambda h: (h.inners, h.outers)):
+        cols = _kept_columns(loss.table, kernel_rows(k))
+        for strategy in itertools.product(*cols):
+            rows = []
+            for (s, vec), col in zip(strategy, cols):
+                rows += [
+                    tuple(a - b for a, b in zip(vec, other))
+                    for w, other in col
+                    if w != s
+                ]
+            theirs = tuple(sum(c) for c in zip(*(vec for _, vec in strategy)))
+            best = _cell_maximum(mine, theirs, rows, n)
+            if best is not None and best[0] > 0:
+                return "counterexample", k, best[0], tuple(s for s, _ in strategy)
+    return "optimal", None, None, None

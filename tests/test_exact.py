@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -493,6 +494,44 @@ def test_lp_matches_brute_force_on_random_problems(seed):
             _assert_feasible(p, res)
 
 
+def _integer_multiple(rng, row, rhs=()):
+    """``(row, rhs, k)``: both times ``k``, a random positive multiple of
+    the lcm of their denominators, as ints."""
+    k = math.lcm(*(v.denominator for v in (*row, *rhs))) * rng.randint(1, 4)
+    return tuple(int(v * k) for v in row), tuple(int(v * k) for v in rhs), k
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lp_stated_in_integer_multiples_matches_fractions(seed):
+    rng = random.Random(f"integer-rows-{seed}")
+    for _ in range(20):
+        p = _random_lp(rng)
+        eq = [_integer_multiple(rng, r, (b,)) for r, b in zip(p.eq_rows, p.eq_rhs)]
+        ub = [_integer_multiple(rng, r, (b,)) for r, b in zip(p.ub_rows, p.ub_rhs)]
+        objective, _, k = _integer_multiple(rng, p.objective)
+        q = LPProblem(
+            objective=objective,
+            maximize=p.maximize,
+            eq_rows=tuple(r for r, _, _ in eq),
+            eq_rhs=tuple(b for _, (b,), _ in eq),
+            ub_rows=tuple(r for r, _, _ in ub),
+            ub_rhs=tuple(b for _, (b,), _ in ub),
+            lower_bounds=p.lower_bounds,
+        )
+        assert all(
+            type(v) is int
+            for row in (*q.eq_rows, *q.ub_rows, q.eq_rhs, q.ub_rhs, q.objective)
+            for v in row
+        )
+        want, got = lp_optimize(p), lp_optimize(q)
+        assert _status(got)[0] == _status(want)[0], p
+        if isinstance(got, LPOptimal):
+            assert isinstance(got.value, Fraction)
+            assert got.value == k * want.value
+            _assert_feasible(q, got)
+            _assert_feasible(p, LPOptimal(got.value / k, got.point))
+
+
 def test_lp_brute_force_covers_every_outcome():
     seen = {
         _brute_force_lp(_random_lp(rng))[0]
@@ -542,6 +581,11 @@ def test_lp_points_are_pinned():
 # -- the optimality certificate ------------------------------------------------
 
 
+# minimise x + 2y subject to x + y = 1: all mass on x.
+EQUALITY_BLEND = LPProblem(
+    objective=(F(1), F(2)), eq_rows=((F(1), F(1)),), eq_rhs=(F(1),)
+)
+
 # Phase 1 ends at a feasible basis from which phase 2 still has to pivot.
 NEEDS_PHASE_TWO = LPProblem(
     objective=(F(1), F(2)),
@@ -561,6 +605,35 @@ def test_lp_certificate_rejects_an_unfinished_phase_two(monkeypatch):
     monkeypatch.setattr(exact._Tableau, "run", stop_phase_two)
     with pytest.raises(AssertionError, match="dual check \\(reduced cost\\)"):
         lp_optimize(NEEDS_PHASE_TWO)
+
+
+@pytest.mark.parametrize(
+    "problem,shift,kind",
+    [
+        (NEEDS_PHASE_TWO, 1, "ub"),
+        (NEEDS_PHASE_TWO, -4, "bound"),
+        (EQUALITY_BLEND, 1, "eq"),
+    ],
+    ids=["ub", "bound", "eq"],
+)
+def test_lp_primal_check_rejects_a_moved_point(monkeypatch, problem, shift, kind):
+    # After phase 2, move the first variable (basic at the optimum) by
+    # `shift`: the point leaves the stated problem.  The dual check sees
+    # only the objective, which moves too, so without the primal check the
+    # raise would name the wrong check.
+    run = exact._Tableau.run
+
+    def move_first_variable(self, weight, phase):
+        done = run(self, weight, phase)
+        if phase == 2:
+            i = self.basis.index(0)
+            row = self.rows[i]
+            self.rows[i] = row[:-1] + [row[-1] + shift * self.det]
+        return done
+
+    monkeypatch.setattr(exact._Tableau, "run", move_first_variable)
+    with pytest.raises(AssertionError, match=f"infeasible point \\({kind}\\)"):
+        lp_optimize(problem)
 
 
 def test_lp_certificate_checks_the_objective(monkeypatch):

@@ -45,7 +45,7 @@ from mdp_workbench import (
     uniform_prior,
 )
 from mdp_workbench import optimality
-from mdp_workbench.exact import LP_UNBOUNDED, LPOptimal
+from mdp_workbench.exact import LP_INFEASIBLE, LP_UNBOUNDED, LPOptimal
 
 F = Fraction
 
@@ -335,6 +335,56 @@ def test_negative_samples_are_refused_before_rivals_are_built(monkeypatch):
             check_universal_l_optimal(ch, loss, kernels, mode=mode, samples=-1)
 
 
+def test_negative_budget_is_refused_before_rivals_are_built(monkeypatch):
+    _, _, kernels = space_and_kernels("line", 3)
+    ch = geometric_truncated(3, "1/2")
+    loss = make_loss("bin", labels=ch.x_labels)
+    assert check_universal_l_optimal(ch, loss, kernels, budget=0).kind == "unknown"
+
+    def no_rivals(hyper):
+        raise AssertionError("a rival was built")
+
+    monkeypatch.setattr(optimality, "from_hyper", no_rivals)
+    for mode in ("sampled", "exact"):
+        with pytest.raises(ValueError, match="budget"):
+            check_universal_l_optimal(ch, loss, kernels, mode=mode, budget=-3)
+
+
+def _count_cells(monkeypatch):
+    """Record, for every cell LP the verdict solves, whether it was
+    infeasible."""
+    real, log = optimality.lp_optimize, []
+
+    def counting(problem):
+        res = real(problem)
+        log.append(res is LP_INFEASIBLE)
+        return res
+
+    monkeypatch.setattr(optimality, "lp_optimize", counting)
+    return log
+
+
+@pytest.mark.parametrize(
+    "kind,n,cells", [("discrete", 4, 476), ("line", 4, 148), ("hamming", 2, 36)]
+)
+def test_min_pair_cell_counts_are_pinned(monkeypatch, kind, n, cells):
+    sp, _, kernels = space_and_kernels(kind, n)
+    ch, loss = min_pair_mechanism(sp)
+    log = _count_cells(monkeypatch)
+    assert check_universal_l_optimal(ch, loss, kernels).kind == "optimal"
+    assert (len(log), sum(log)) == (cells, 0)
+
+
+def test_infeasible_cell_count_is_pinned(monkeypatch):
+    sp, _, kernels = space_and_kernels("discrete", 3)
+    log = _count_cells(monkeypatch)
+    v = check_universal_l_optimal(
+        random_response(3, "1/2"), make_loss("bin", labels=sp.labels), kernels
+    )
+    assert v.kind == "counterexample"
+    assert (len(log), sum(log)) == (31, 18)
+
+
 def test_budget_refusal_is_explicit():
     sp, _, kernels = space_and_kernels("discrete", 3)
     ch = random_response(3, "1/2")
@@ -463,6 +513,91 @@ def test_column_actions_keep_the_undominated_first_of_equals():
             assert kept == want
             assert vecs == [tuple(d * v for v in scores[w]) for w in kept]
             assert all(isinstance(v, int) for vec in vecs for v in vec)
+
+
+# -- exact mode against the brute-force oracle --------------------------------
+
+
+# (channel, loss) pairs per space.  The oracle solves every choice of n - 1
+# of a cell's hyperplanes, so the 4-point spaces get the losses with few
+# actions; between them the cases cover every channel and loss kind.
+EXACT_CASES = {
+    ("line", 3): [
+        ("geometric", "bin"), ("geometric", "monotone"), ("trivial", "bin"),
+        ("trivial", "zero-row"), ("kernel", "custom"), ("mixture", "avg"),
+        ("mixture", "custom"), ("min-pair", "pair"), ("min-pair", "bin"),
+    ],
+    ("discrete", 3): [
+        ("kernel", "bin"), ("kernel", "zero-row"), ("mixture", "custom"),
+        ("trivial", "avg"), ("min-pair", "pair"), ("min-pair", "monotone"),
+    ],
+    ("line", 4): [
+        ("trivial", "pair"), ("trivial", "zero-row"), ("kernel", "monotone"),
+        ("mixture", "monotone"), ("min-pair", "pair"),
+    ],
+    ("hamming", 2): [
+        ("trivial", "pair"), ("kernel", "pair"), ("kernel", "zero-row"),
+        ("mixture", "monotone"), ("min-pair", "pair"),
+    ],
+}
+
+
+def _exact_case(rng, sp, kernels, channel, loss):
+    first, last = from_hyper(kernels[0])[0], from_hyper(kernels[-1])[0]
+    pair_channel, pair_loss = min_pair_mechanism(sp)
+    channels = {
+        "geometric": lambda: geometric_truncated(sp.n, "1/2"),
+        "trivial": lambda: trivial_channel(sp.labels),
+        "kernel": lambda: from_hyper(rng.choice(kernels))[0],
+        "mixture": lambda: external_choice(first, last, "1/3"),
+        "min-pair": lambda: pair_channel,
+    }
+    # Monotone losses on 4 points name two actions, at the ends of the
+    # space, so the oracle's cells stay small.
+    ends = sp.labels if sp.n < 4 else (sp.labels[0], sp.labels[-1])
+    losses = {
+        "bin": lambda: make_loss("bin", labels=sp.labels),
+        "avg": lambda: make_loss("avg", labels=sp.labels),
+        "monotone": lambda: make_loss(
+            "monotone",
+            space=sp,
+            assignment={w: w for w in ends},
+            profile=rand_monotone_profile(rng, range(sp.n)),
+        ),
+        "custom": lambda: rand_loss(rng, sp.labels, actions=sp.n),
+        "zero-row": lambda: _with_zero_row(rand_loss(rng, sp.labels)),
+        "pair": lambda: pair_loss,
+    }
+    return channels[channel](), losses[loss]()
+
+
+@pytest.mark.parametrize("kind,n", list(EXACT_CASES))
+def test_exact_verdicts_match_the_brute_force_oracle(kind, n):
+    rng = random.Random(f"exact-{kind}-{n}")
+    sp, _, kernels = space_and_kernels(kind, n)
+    kinds = set()
+    for names in EXACT_CASES[kind, n]:
+        ch, loss = _exact_case(rng, sp, kernels, *names)
+        got = check_universal_l_optimal(ch, loss, kernels)
+        want_kind, rival, margin, cell = oracle.exact_verdict(ch, loss, kernels)
+        assert (got.kind, got.rival, got.margin) == (want_kind, rival, margin), names
+        kinds.add(got.kind)
+        if got.kind == "counterexample":
+            # The prior is a witness: the oracle's cell holds it, and the
+            # gap recomputed there is the margin.
+            probs = got.prior.probs
+            rows = oracle.kernel_rows(rival)
+            for y, s in enumerate(cell):
+                scores = [
+                    sum(l * p * row[y] for l, p, row in zip(lrow, probs, rows))
+                    for lrow in loss.table
+                ]
+                assert scores[s] == min(scores), names
+            gap = oracle.uncertainty(loss.table, probs, ch.rows) - (
+                oracle.uncertainty(loss.table, probs, rows)
+            )
+            assert gap == margin, names
+    assert kinds == {"counterexample", "optimal"}
 
 
 # -- sweeps ------------------------------------------------------------------
