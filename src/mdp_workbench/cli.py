@@ -278,14 +278,14 @@ def _cmd_vertices(args) -> int:
     vertices, payload = _cached_vertices(space, args, args.limit)
     if args.format == "json":
         # Emit the payload string itself so cache hits are byte-identical.
-        _write(args, payload + "\n")
-        return 0
-    lines = [f"{len(vertices)} vertices"]
-    lines += [_fracs(v) for v in vertices]
-    csv_rows = [list(space.labels)] + [
-        [format_scalar(v) for v in vec] for vec in vertices
-    ]
-    _emit(args, "\n".join(lines), None, csv_rows)
+        out = payload + "\n"
+    elif args.format == "csv":
+        out = _csv_text(
+            [list(space.labels)] + [[format_scalar(v) for v in vec] for vec in vertices]
+        )
+    else:
+        out = "\n".join([f"{len(vertices)} vertices"] + [_fracs(v) for v in vertices]) + "\n"
+    _write(args, out)
     return 0
 
 
@@ -293,17 +293,20 @@ def _cmd_kernels(args) -> int:
     space = metric_from_json(_read_json(args.metric))
     kernels, payload = _cached_kernels(space, args, args.limit)
     if args.format == "json":
-        _write(args, payload + "\n")
-        return 0
-    lines = [f"{len(kernels)} kernel mechanisms"]
-    for i, k in enumerate(kernels):
-        lines.append(f"kernel {i}:")
-        lines += _hyper_lines(k, "  ")
-    csv_rows = [["kernel", "outer"] + list(space.labels)]
-    for i, k in enumerate(kernels):
-        for o, inner in zip(k.outers, k.inners):
-            csv_rows.append([i, format_scalar(o)] + [format_scalar(v) for v in inner])
-    _emit(args, "\n".join(lines), None, csv_rows)
+        out = payload + "\n"
+    elif args.format == "csv":
+        rows = [["kernel", "outer"] + list(space.labels)]
+        for i, k in enumerate(kernels):
+            for o, inner in zip(k.outers, k.inners):
+                rows.append([i, format_scalar(o)] + [format_scalar(v) for v in inner])
+        out = _csv_text(rows)
+    else:
+        lines = [f"{len(kernels)} kernel mechanisms"]
+        for i, k in enumerate(kernels):
+            lines.append(f"kernel {i}:")
+            lines += _hyper_lines(k, "  ")
+        out = "\n".join(lines) + "\n"
+    _write(args, out)
     return 0
 
 

@@ -2,8 +2,9 @@
 
 Every quantity in this package is an arbitrary-precision rational
 (:class:`fractions.Fraction`).  Floats never enter a result path: text input
-is parsed exactly, irrational values elsewhere are rounded *once* to a stated
-number of significant digits and kept as rationals from then on.
+is parsed exactly, and the only irrational values, a metric's stretches,
+are rounded *once* to a stated number of significant digits (certified
+correctly rounded, see ``metrics``) and kept as rationals from then on.
 
 Linear algebra runs in integers.  One fraction-free echelon routine (as in
 Bareiss 1968, but each row is divided by the gcd of its entries rather than

@@ -7,12 +7,17 @@ distances are not kept: every consumer downstream — privacy checks, polytope
 constraints, capacity programs — works off the stretch matrix alone, so that
 is the single source of truth.
 
-Exactness: when ``base**d`` is rational (integer distances, or rational
-distances whose roots come out rational) the stretch is stored exactly.
-Otherwise it is rounded *once*, at construction, to ``precision_digits``
-significant digits, and the space is tagged ``mode="approximate"``.  All
-later arithmetic is exact over the rounded values, so every result is a
-faithful statement about the rounded space.
+Exactness: every kind states the squared distance ``d**2`` of each pair as
+an exact rational (a grid's ``dr**2 + dc**2``), and one routine turns each
+distinct value into a stretch.  When ``base**d`` is rational (``d`` rational
+and its roots come out rational) the stretch is stored exactly.  Otherwise
+it is irrational and is rounded *once*, at construction, half-even to
+``precision_digits`` significant digits with the standard library's
+``decimal``; the rounding carries its own error bound and raises its
+working precision until the bound shows the rounded digits are the true
+ones.  The space is then tagged ``mode="approximate"``.  All later
+arithmetic is exact over the rounded values, so every result is a faithful
+statement about the rounded space.
 
 Naming convention: ``grid(w, h)`` is the integer lattice of ``(w+1)*(h+1)``
 points with corners (0,0) and (h,w) under the Euclidean metric, i.e. the
@@ -24,10 +29,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
-
-import mpmath
 
 from .exact import Matrix, ONE, ZERO, as_matrix, parse_scalar
 
@@ -77,86 +81,74 @@ class MetricSpace:
 
 def _int_root(value: int, k: int) -> Optional[int]:
     """Exact integer k-th root of a non-negative int, or None."""
-    if value < 0 or k <= 0:
-        return None
-    if value in (0, 1) or k == 1:
+    if value < 2 or k == 1:
         return value
-    r = round(value ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == value:
-            return cand
-    # float seed can be off for huge inputs; fall back to bisection
-    lo, hi = 0, 1
-    while hi**k < value:
-        hi *= 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid**k
-        if p == value:
-            return mid
-        if p < value:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    # Newton's method from a power of two above the root descends
+    # monotonically to the floor of the root.
+    x = 1 << -(-value.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + value // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == value else None
+        x = y
 
 
 def _rational_power(base: Fraction, exponent: Fraction) -> Optional[Fraction]:
-    """``base**exponent`` when that is exactly rational, else None."""
-    if exponent.denominator == 1:
-        return base ** int(exponent)
-    p, q = exponent.numerator, exponent.denominator
-    num, den = base.numerator, base.denominator
-    rn = _int_root(num**p, q)
-    rd = _int_root(den**p, q)
+    """``base**exponent`` for ``base > 0`` when that is exactly rational,
+    else None.
+
+    With ``exponent = p/q`` in lowest terms, ``x**p`` is a q-th power iff
+    ``x`` is one, so the roots are taken before the power is raised.
+    """
+    q = exponent.denominator
+    rn = _int_root(base.numerator, q)
+    rd = _int_root(base.denominator, q)
     if rn is None or rd is None:
         return None
-    return Fraction(rn, rd)
+    return Fraction(rn, rd) ** exponent.numerator
 
 
-def _round_significant(x: "mpmath.mpf", digits: int) -> Fraction:
-    """Round a positive real to ``digits`` significant digits, exactly
-    representable as ``m * 10**e`` with ``10**(digits-1) <= m < 10**digits``."""
-    if digits < 1:
-        raise ValueError("precision_digits must be >= 1")
-    if x <= 0:
-        raise ValueError("stretch values are positive")
-    e = int(mpmath.floor(mpmath.log10(x)))
-    for _ in range(3):
-        m = int(mpmath.nint(x * mpmath.mpf(10) ** (digits - 1 - e)))
-        if m >= 10**digits:
-            e += 1
-            continue
-        if m < 10 ** (digits - 1):
-            e -= 1
-            continue
-        return Fraction(m) * Fraction(10) ** (e - digits + 1)
-    raise AssertionError("significant-digit rounding failed to settle")
+_GUARD_DIGITS = 25
 
 
-def _stretch_from_distance(
-    base: Fraction, dist: Fraction, precision_digits: int, *, irrational_sqrt_of: Optional[int] = None
-) -> tuple[Fraction, bool]:
-    """Return (stretch, was_rounded) for base**dist.
+def _rounded_power(base: Fraction, d2: Fraction, digits: int) -> Fraction:
+    """``base**sqrt(d2)`` for ``base > 1``, rounded half-even to ``digits``
+    significant digits.  Call only when the power is irrational: it then
+    never sits on a rounding tie.
 
-    ``irrational_sqrt_of`` carries grid distances sqrt(k) for non-square k,
-    which never admit a rational power (for rational base > 1), so they go
-    straight to the rounding path.
+    The result is certified: every decimal step below is correctly rounded
+    at ``prec`` digits, so the computed value lies within relative error
+    ``10**(2-prec) * (exponent + root + 1) / 2`` of the true one.  Both ends
+    of twice that interval (the factor also covers rounding the two ends)
+    must round to the same result, or the precision is raised.
     """
+    rounding = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    guard = _GUARD_DIGITS
+    while True:
+        ctx = Context(prec=digits + guard, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        with localcontext(ctx):
+            root = (Decimal(d2.numerator) / d2.denominator).sqrt()
+            exponent = root * (Decimal(base.numerator) / base.denominator).ln()
+            value = exponent.exp()
+            slack = Decimal(1).scaleb((exponent + root + 1).adjusted() + 3 - ctx.prec)
+            if slack < 1:
+                low = rounding.plus(value * (1 - slack))
+                if low == rounding.plus(value * (1 + slack)):
+                    return Fraction(low)
+        guard *= 2
+
+
+def _stretch(base: Fraction, d2: Fraction, digits: int) -> tuple[Fraction, bool]:
+    """Return (stretch, rounded) for ``base**sqrt(d2)``: exact when it is
+    rational, else rounded to ``digits`` significant digits."""
     if base == 1:
         return ONE, False
-    if irrational_sqrt_of is None:
-        exact = _rational_power(base, dist)
+    d = _rational_power(d2, Fraction(1, 2))
+    if d is not None:
+        exact = _rational_power(base, d)
         if exact is not None:
             return exact, False
-    with mpmath.workdps(precision_digits + 25):
-        ln_base = mpmath.log(mpmath.mpf(base.numerator) / mpmath.mpf(base.denominator))
-        if irrational_sqrt_of is not None:
-            expo = mpmath.sqrt(irrational_sqrt_of)
-        else:
-            expo = mpmath.mpf(dist.numerator) / mpmath.mpf(dist.denominator)
-        value = mpmath.e ** (expo * ln_base)
-        return _round_significant(value, precision_digits), True
+    return _rounded_power(base, d2, digits), True
 
 
 def _grid_labels(width: int, height: int) -> tuple:
@@ -203,23 +195,20 @@ def make_metric(
 
     dist_matrix: Optional[Matrix] = None
     dims: tuple = ()
-    sqrt_of: dict = {}
 
     if kind == "line":
         if n is None or n < 1:
             raise ValueError("line metric needs n >= 1 points")
         labels_out = tuple(str(i) for i in range(n))
         dims = (n,)
-        dist = [[Fraction(abs(i - j)) for j in range(n)] for i in range(n)]
+        squared = lambda i, j: Fraction((i - j) ** 2)
         tight = tuple((i, i + 1) for i in range(n - 1))
     elif kind == "discrete":
         if n is None or n < 1:
             raise ValueError("discrete metric needs n >= 1 points")
         labels_out = tuple(str(i) for i in range(n))
         dims = (n,)
-        dist = [
-            [ZERO if i == j else ONE for j in range(n)] for i in range(n)
-        ]
+        squared = lambda i, j: ONE
         tight = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     elif kind == "grid":
         if width is None or height is None or width < 1 or height < 1:
@@ -228,18 +217,9 @@ def make_metric(
         dims = (width, height)
         coords = [(r, c) for r in range(height + 1) for c in range(width + 1)]
         m = len(coords)
-        dist = [[ZERO] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                dr = coords[i][0] - coords[j][0]
-                dc = coords[i][1] - coords[j][1]
-                k = dr * dr + dc * dc
-                r = _int_root(k, 2)
-                if r is None:
-                    sqrt_of[(i, j)] = k
-                    dist[i][j] = dist[j][i] = Fraction(-1)  # sentinel, unused
-                else:
-                    dist[i][j] = dist[j][i] = Fraction(r)
+        squared = lambda i, j: Fraction(
+            (coords[i][0] - coords[j][0]) ** 2 + (coords[i][1] - coords[j][1]) ** 2
+        )
         tight = tuple(
             (i, j)
             for i in range(m)
@@ -252,9 +232,7 @@ def make_metric(
         labels_out = _hamming_labels(bits)
         dims = (bits,)
         m = 2**bits
-        dist = [
-            [Fraction((i ^ j).bit_count()) for j in range(m)] for i in range(m)
-        ]
+        squared = lambda i, j: Fraction((i ^ j).bit_count() ** 2)
         tight = tuple(
             (i, j) for i in range(m) for j in range(i + 1, m) if (i ^ j).bit_count() == 1
         )
@@ -287,6 +265,7 @@ def make_metric(
                             f"triangle inequality fails at indices ({i},{j},{k})"
                         )
         dist = [list(row) for row in dist_matrix]
+        squared = lambda i, j: dist[i][j] * dist[i][j]
         tight = tuple(
             (i, j)
             for i in range(m)
@@ -300,31 +279,21 @@ def make_metric(
     if len(set(labels_out)) != len(labels_out):
         raise ValueError("labels must be unique")
 
+    # ``squared(i, j)`` is the exact squared distance of a pair i < j.  One
+    # stretch per distinct value: a grid has few, and each rounded one costs
+    # a certified decimal exp.
     size = len(labels_out)
-    rounded_any = False
-    stretch_rows = [[ONE] * size for _ in range(size)]
     memo: dict = {}
+    stretch_rows = [[ONE] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            key = sqrt_of.get((i, j)) if (i, j) in sqrt_of else ("d", dist[i][j])
-            if key in memo:
-                value = memo[key]
-            else:
-                if (i, j) in sqrt_of:
-                    value, was_rounded = _stretch_from_distance(
-                        base, ZERO, precision_digits, irrational_sqrt_of=sqrt_of[(i, j)]
-                    )
-                else:
-                    value, was_rounded = _stretch_from_distance(
-                        base, dist[i][j], precision_digits
-                    )
-                if was_rounded:
-                    rounded_any = True
-                memo[key] = value
-            stretch_rows[i][j] = stretch_rows[j][i] = value
+            d2 = squared(i, j)
+            if d2 not in memo:
+                memo[d2] = _stretch(base, d2, precision_digits)
+            stretch_rows[i][j] = stretch_rows[j][i] = memo[d2][0]
 
     stretch = tuple(tuple(row) for row in stretch_rows)
-    mode = "approximate" if rounded_any else "exact"
+    mode = "approximate" if any(rounded for _, rounded in memo.values()) else "exact"
     space = MetricSpace(
         kind=kind,
         labels=labels_out,

@@ -10,6 +10,10 @@
   cell maximised by brute force over its vertices.  The package states its
   cells in integers and solves them with its simplex, so tests may check its
   exact verdicts against this one.
+* A significant-digit rounding of ``base**exponent`` in ``mpmath`` at twice
+  the digits plus 40.  The package rounds its irrational stretches with the
+  standard library's ``decimal`` and certifies the result, so tests may
+  check that rounding against this one.
 
 None of them shares code with the package.
 """
@@ -20,6 +24,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+
+import mpmath
 
 UNDERDETERMINED = "UNDERDETERMINED"
 INCONSISTENT = "INCONSISTENT"
@@ -218,3 +224,24 @@ def exact_verdict(channel, loss, kernels) -> tuple:
             if best is not None and best[0] > 0:
                 return "counterexample", k, best[0], tuple(s for s, _ in strategy)
     return "optimal", None, None, None
+
+
+def rounded_power(base: Fraction, exponent, digits: int) -> Fraction:
+    """``base**exponent`` rounded half-even to ``digits`` significant digits.
+    ``exponent`` is a Fraction, or ``("sqrt", k)`` for the square root of the
+    integer k."""
+    with mpmath.workdps(2 * digits + 40):
+        if isinstance(exponent, tuple):
+            power = mpmath.sqrt(exponent[1])
+        else:
+            power = mpmath.mpf(exponent.numerator) / exponent.denominator
+        x = mpmath.power(mpmath.mpf(base.numerator) / base.denominator, power)
+        e = int(mpmath.floor(mpmath.log10(x))) - digits + 1
+        while True:
+            m = int(mpmath.nint(x / mpmath.mpf(10) ** e))
+            if m >= 10**digits:  # a carry, or log10 fell just short
+                e += 1
+            elif m < 10 ** (digits - 1):
+                e -= 1
+            else:
+                return Fraction(m) * Fraction(10) ** e

@@ -109,6 +109,29 @@ def test_kernels_json(tmp_path, capsys):
             "inners": [["1/5", "2/5", "2/5"], ["1/2", "1/4", "1/4"]]} in doc["kernels"]
 
 
+def test_large_rational_distance_exits_zero(tmp_path, capsys):
+    # 7**(1000/3) once overflowed a float in the exact-root search.
+    m = _metric(tmp_path, kind="custom", base="7", labels=["a", "b"],
+                distances=[["0", "1000/3"], ["1000/3", "0"]])
+    assert main(["vertices", "--metric", m, "--no-cache"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "2 vertices"
+
+
+def test_only_the_chosen_format_is_built(tmp_path, capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("built output for a format not asked for")
+
+    m = _metric(tmp_path, kind="line", n=3, base="2")
+    monkeypatch.setattr(cli, "_hyper_lines", unused)
+    monkeypatch.setattr(cli, "_fracs", unused)
+    assert main(["kernels", "--metric", m, "--format", "csv"]) == 0
+    assert main(["vertices", "--metric", m, "--format", "csv"]) == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_csv_text", unused)
+    assert main(["kernels", "--metric", m]) == 0
+    assert main(["vertices", "--metric", m]) == 0
+
+
 # -- privacy checking --------------------------------------------------------
 
 
@@ -316,6 +339,19 @@ def test_reproduce_hamming_small(tmp_path, capsys):
     assert lines[1].split(",")[0:3] == ["2", "6", "match"]
     # capacities print as decimals and match within the stated tolerance
     assert lines[1].split(",")[5] == "1.7778"
+
+
+@pytest.mark.parametrize("table,max_n,expected", [
+    ("grid", "1",
+     "Dims,Vertices,VerticesMatch,Kernels,KernelsMatch,MultCapacity,MultMatch,AddCapacity,AddMatch\n"
+     "1x1,18,match,403,match,1.6841,match,0.4782,match\n"),
+    ("hamming", "2",
+     "Dims,Vertices,VerticesMatch,Kernels,KernelsMatch,MultCapacity,MultMatch,AddCapacity,AddMatch\n"
+     "2,6,match,4,match,1.7778,match,0.5556,match\n"),
+])
+def test_reproduce_csv_is_pinned(tmp_path, capsys, table, max_n, expected):
+    assert main(["reproduce", "--table", table, "--max-n", max_n, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_reproduce_out_file(tmp_path):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import oracle
+from mdp_workbench import metrics
 from mdp_workbench import (
     canonical_metric_json,
     make_metric,
@@ -88,6 +93,102 @@ def test_grid_irrational_stretch_rounded_to_precision():
         assert rel < mpmath.mpf(10) ** -29
     # leading digits of 2^sqrt(2)
     assert str(got.numerator / got.denominator).startswith("2.6651441")
+
+
+def _stretch_specs():
+    for w, h in ((1, 1), (2, 1), (2, 2), (3, 3)):
+        for digits in (1, 5, 30, 60):
+            for base in ("2", "3/2", "7"):
+                yield "grid", dict(width=w, height=h, base=base, precision_digits=digits)
+    # rational distances whose powers are irrational
+    third = [[0, "1/2", "2/3"], ["1/2", 0, "1/2"], ["2/3", "1/2", 0]]
+    yield "custom", dict(labels=["a", "b", "c"], distances=third, base="2", precision_digits=30)
+    yield "custom", dict(distances=[[0, "5/3"], ["5/3", 0]], base="3/2", precision_digits=12)
+
+
+def test_rounded_stretches_are_pinned():
+    # A digest of every (mode, stretch) above as first published: a change
+    # of rounding method must not move a single digit of a published table.
+    digest = hashlib.sha256()
+    for kind, kwargs in _stretch_specs():
+        sp = make_metric(kind, **kwargs)
+        digest.update(repr((sp.mode, sp.stretch)).encode())
+    assert digest.hexdigest() == (
+        "7b9986aac001639a7fda718fdf819494cd36a6d6502009a59c25d01be00227b9"
+    )
+
+
+def test_large_rational_distance_is_rounded():
+    # 7**(1000/3) has 282 digits; its cube root is taken on 7, not on 7**1000.
+    sp = make_metric(
+        "custom", labels=["a", "b"], distances=[[0, "1000/3"], ["1000/3", 0]], base=7
+    )
+    assert sp.mode == "approximate"
+    got = stretch(sp, "a", "b")
+    with mpmath.workdps(80):
+        truth = mpmath.power(7, mpmath.mpf(1000) / 3)
+        rel = abs(mpmath.mpf(got.numerator) / got.denominator - truth) / truth
+        assert rel < mpmath.mpf(10) ** -29
+
+
+@pytest.mark.parametrize("root,k", [(3**1000, 3), (2**64 + 1, 2), (10**50 - 1, 7), (2, 1000)])
+def test_int_root_is_exact_on_large_powers(root, k):
+    assert metrics._int_root(root**k, k) == root
+    assert metrics._int_root(root**k + 1, k) is None
+    assert metrics._int_root(root**k - 1, k) is None
+
+
+def test_rounding_beyond_the_default_decimal_exponent_range():
+    # 2**(10**7 / 3) is about 10**1003433, past the default context's Emax.
+    d = Fraction(10**7, 3)
+    got = metrics._rounded_power(F(2), d * d, 5)
+    assert got == oracle.rounded_power(F(2), d, 5)
+
+
+def _rounding_cases(count: int):
+    rng = random.Random(20221)
+    cases = []
+    while len(cases) < count:
+        base = F(rng.randint(2, 60), rng.randint(1, 20))
+        if base <= 1:
+            continue
+        if rng.random() < 0.5:
+            k = rng.randint(2, 400)
+            if math.isqrt(k) ** 2 == k:
+                continue
+            d2, exponent = F(k), ("sqrt", k)
+        else:
+            exponent = F(rng.randint(1, 40), rng.randint(2, 9))
+            if metrics._rational_power(base, exponent) is not None:
+                continue
+            d2 = exponent * exponent
+        cases.append((base, d2, exponent, rng.randint(1, 50)))
+    return cases
+
+
+def test_rounding_matches_the_mpmath_oracle():
+    for base, d2, exponent, digits in _rounding_cases(300):
+        got, rounded = metrics._stretch(base, d2, digits)
+        assert rounded
+        assert got == oracle.rounded_power(base, exponent, digits), (base, exponent, digits)
+
+
+def test_certification_retries_until_both_ends_agree(monkeypatch):
+    cases = _rounding_cases(20)
+    want = [metrics._rounded_power(base, d2, digits) for base, d2, _, digits in cases]
+    precisions = []
+    real = metrics.localcontext
+
+    def counting(ctx):
+        precisions.append(ctx.prec)
+        return real(ctx)
+
+    monkeypatch.setattr(metrics, "_GUARD_DIGITS", 1)
+    monkeypatch.setattr(metrics, "localcontext", counting)
+    got = [metrics._rounded_power(base, d2, digits) for base, d2, _, digits in cases]
+    assert got == want
+    assert len(precisions) > len(cases)  # at least one retry
+    assert precisions[0] == cases[0][3] + 1
 
 
 def test_grid_needs_positive_dimensions():

@@ -62,10 +62,10 @@ def test_package_modules_use_every_import():
     assert found == []
 
 
-def test_package_imports_only_the_standard_library_and_mpmath():
-    # mpmath is the only runtime dependency; numpy and scipy may be installed
-    # but must not creep in.  Imports inside functions count too.
-    allowed = set(sys.stdlib_module_names) | {"mpmath"}
+def test_package_imports_only_the_standard_library():
+    # The package has no runtime dependency; mpmath, numpy and scipy may be
+    # installed but must not creep in.  Imports inside functions count too.
+    allowed = set(sys.stdlib_module_names)
     found = []
     for path, tree in _modules():
         for node in ast.walk(tree):
