@@ -266,9 +266,11 @@ def _orbits(n_items: int, images) -> list:
     return [number[find(i)] for i in range(n_items)]
 
 
-def type_capacity_lp(
-    space: MetricSpace, mode: str, *, batch: int = 32
-) -> CapacityReport:
+# The most violated constraints added to the capacity program per round.
+_CUT_BATCH = 32
+
+
+def type_capacity_lp(space: MetricSpace, mode: str) -> CapacityReport:
     """Exact worst-case capacity over every private channel for the space.
 
     The program optimises the trace of an n x n row-stochastic matrix whose
@@ -363,7 +365,7 @@ def type_capacity_lp(
         if not violated:
             break
         violated.sort(key=lambda av: (-av[0], av[1]))
-        for _, t in violated[:batch]:
+        for _, t in violated[:_CUT_BATCH]:
             active.append(t)
             active_set.add(t)
         active.sort()

@@ -15,8 +15,9 @@ walk their subsets.
 
 The linear-programming solver is a dense two-phase simplex on a
 fraction-free integer tableau (Bareiss pivoting over a common determinant),
-with Dantzig's entering rule and a Bland fallback on degenerate stalls.  It is
-deterministic — the same problem yields the same optimal basic solution, bit
+with Dantzig's entering rule and a Bland fallback on degenerate stalls.  Its
+variables are all nonnegative, and its pivot budget is a module constant.  It
+is deterministic — the same problem yields the same optimal basic solution, bit
 for bit — and every optimum it returns is certified first, in the integers of
 its starting rows: the point against every stated row and bound, and the row
 multipliers read off the final cost row as a dual solution with the same
@@ -287,13 +288,13 @@ def solve_linear_system(a: Matrix, b: Sequence[Fraction]) -> LinearOutcome:
 
 @dataclass(frozen=True)
 class LPProblem:
-    """``optimize objective . x`` subject to equality rows, <= rows, and
-    per-variable lower bounds (``None`` entry = free variable).
+    """``optimize objective . x`` subject to equality rows and <= rows, over
+    ``x >= 0``.
 
-    The default bound is 0 for every variable.  Upper bounds, where needed,
-    are expressed as ordinary <= rows by the caller.  Entries are Fractions
-    or ``int``s (both exact); each row is scaled to integers by the lcm of
-    its denominators, which for an ``int`` row is 1.
+    Other bounds are stated as ordinary rows by the caller, and a free
+    variable as the difference of two columns.  Entries are Fractions or
+    ``int``s (both exact); each row is scaled to integers by the lcm of its
+    denominators, which for an ``int`` row is 1.
     """
 
     objective: Vector
@@ -302,7 +303,6 @@ class LPProblem:
     eq_rhs: Vector = ()
     ub_rows: Matrix = ()
     ub_rhs: Vector = ()
-    lower_bounds: "tuple | None" = None
 
 
 @dataclass(frozen=True)
@@ -329,6 +329,9 @@ class SimplexIterationLimit(RuntimeError):
 # drops from Dantzig to Bland until progress resumes (see _Tableau.run).
 _STALL_LIMIT = 20
 
+# The pivots one lp_optimize call may make, over both phases.
+_PIVOT_LIMIT = 100_000
+
 
 class _Tableau:
     """The integer tableau ``det * B^-1 [A | b]`` of a basis ``B`` of integer
@@ -340,11 +343,11 @@ class _Tableau:
     caller may keep the starting rows by reference.
     """
 
-    __slots__ = ("rows", "basis", "det", "pivots_left", "limit")
+    __slots__ = ("rows", "basis", "det", "pivots_left")
 
-    def __init__(self, rows: list, basis: list, limit: int):
+    def __init__(self, rows: list, basis: list):
         self.rows, self.basis, self.det = rows, basis, 1
-        self.pivots_left = self.limit = limit
+        self.pivots_left = _PIVOT_LIMIT
 
     def pivot(self, r: int, c: int) -> None:
         """Bring column ``c`` into the basis at row ``r``: every other row
@@ -409,7 +412,7 @@ class _Tableau:
                 return False
             if self.pivots_left == 0:
                 raise SimplexIterationLimit(
-                    f"simplex exceeded {self.limit} pivots (phase {phase})"
+                    f"simplex exceeded {_PIVOT_LIMIT} pivots (phase {phase})"
                 )
             self.pivots_left -= 1
             before, det = cost[-1], self.det
@@ -417,14 +420,15 @@ class _Tableau:
             stall = stall + 1 if rows[-1][-1] * det == before * self.det else 0
 
 
-def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutcome:
-    """Solve a small LP exactly.
+def lp_optimize(problem: LPProblem) -> LPOutcome:
+    """Solve a small LP over ``x >= 0`` exactly.
 
     Returns :class:`LPOptimal` (value and one optimal basic point, both exact),
     or ``LP_INFEASIBLE`` / ``LP_UNBOUNDED``.  Raises
-    :class:`SimplexIterationLimit` if the pivot budget is exhausted first.
-    Pivoting is Dantzig's rule with a Bland fallback on degenerate stalls, so
-    the budget only runs out on genuinely huge inputs, never on a cycle.
+    :class:`SimplexIterationLimit` if the module's pivot budget
+    (``_PIVOT_LIMIT``) is exhausted first.  Pivoting is Dantzig's rule with a
+    Bland fallback on degenerate stalls, so the budget only runs out on
+    genuinely huge inputs, never on a cycle.
 
     An optimum is certified before it is returned, in the integers of the
     starting rows: the basic values must be nonnegative and satisfy every
@@ -434,8 +438,6 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
     ``AssertionError``.  The value is read off the certified integers.
     """
     n = len(problem.objective)
-    if problem.lower_bounds is not None and len(problem.lower_bounds) != n:
-        raise DimensionError("lower_bounds length mismatch")
     if len(problem.eq_rows) != len(problem.eq_rhs):
         raise DimensionError("eq rows/rhs mismatch")
     if len(problem.ub_rows) != len(problem.ub_rhs):
@@ -445,49 +447,37 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
         if len(row) != n:
             raise DimensionError("constraint row width mismatch")
 
-    lower = problem.lower_bounds if problem.lower_bounds is not None else (ZERO,) * n
-
-    # Transformed variables: x[j] = shift[j] + y[j] - y[n + k] where the
-    # negative part exists only for the k-th free variable, free[k].
-    shift = [ZERO if lb is None else lb for lb in lower]
-    free = [j for j, lb in enumerate(lower) if lb is None]
-    next_col = n + len(free)
     n_eq = len(problem.eq_rows)
-    width = next_col + len(problem.ub_rows)  # structural + slack columns
+    width = n + len(problem.ub_rows)  # structural + slack columns
 
     sense = -1 if problem.maximize else 1  # internally always minimize
-    obj = [sense * c for c in problem.objective]
-    obj += [-obj[j] for j in free]
-    obj += [0] * len(problem.ub_rows)
+    obj = [sense * c for c in problem.objective] + [0] * len(problem.ub_rows)
 
     m = len(constraints)
 
-    # Starting rows: each constraint in the transformed variables with its
-    # rhs made nonnegative, scaled to integers by the lcm of its
-    # denominators.  A ub row whose rhs was already nonnegative starts with
-    # its slack basic, and every other row with an artificial.  Both stay
-    # unit columns, so a slack's variable is its row's scale times the
-    # slack, and `weight` prices it back at the slack's own reduced cost.
+    # Starting rows: each constraint with its rhs made nonnegative, scaled
+    # to integers by the lcm of its denominators.  A ub row whose rhs was
+    # already nonnegative starts with its slack basic, and every other row
+    # with an artificial.  Both stay unit columns, so a slack's variable is
+    # its row's scale times the slack, and `weight` prices it back at the
+    # slack's own reduced cost.
     rhss = list(problem.eq_rhs) + list(problem.ub_rhs)
-    if any(shift):
-        rhss = [rhs - dot(row, shift) for row, rhs in zip(constraints, rhss)]
     art_rows = [i for i, rhs in enumerate(rhss) if i < n_eq or rhs < 0]
     ncols = width + len(art_rows)
-    unit = [next_col + i - n_eq for i in range(m)]  # ub rows' slacks
+    unit = [n + i - n_eq for i in range(m)]  # ub rows' slacks
     for k, i in enumerate(art_rows):
         unit[i] = width + k
     weight = [1] * width
     start, scales = [], []
     for i, (row, rhs) in enumerate(zip(constraints, rhss)):
-        coefs = list(row) + [-row[j] for j in free]
-        scale = lcm(rhs.denominator, *[c.denominator for c in coefs])
+        scale = lcm(rhs.denominator, *[c.denominator for c in row])
         signed = -scale if rhs < 0 else scale
-        t = [c.numerator * (signed // c.denominator) for c in coefs]
-        t += [0] * (ncols - next_col)
+        t = [c.numerator * (signed // c.denominator) for c in row]
+        t += [0] * (ncols - n)
         t.append(rhs.numerator * (signed // rhs.denominator))
         if i >= n_eq:
-            t[next_col + i - n_eq] = -1 if rhs < 0 else 1
-            weight[next_col + i - n_eq] = scale
+            t[n + i - n_eq] = -1 if rhs < 0 else 1
+            weight[n + i - n_eq] = scale
         t[unit[i]] = 1
         start.append(t)  # pivots replace rows, so these stay as they are
         scales.append(scale)
@@ -501,7 +491,7 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
         f = big // scales[i]
         cost = [c - f * v for c, v in zip(cost, start[i])]
     cost[width:-1] = [0] * len(art_rows)
-    tab = _Tableau(start + [cost], list(unit), iteration_limit)
+    tab = _Tableau(start + [cost], list(unit))
     if not tab.run(weight, 1):  # pragma: no cover - phase 1 is bounded below
         raise AssertionError("phase-1 objective cannot be unbounded")
     if tab.rows[-1][-1]:
@@ -569,11 +559,5 @@ def lp_optimize(problem: LPProblem, *, iteration_limit: int = 100_000) -> LPOutc
     num = [0] * width
     for b, v in basic:
         num[b] = v
-    for k, j in enumerate(free):
-        num[j] -= num[n + k]
-    x = [Fraction(v, det) for v in num[:n]]
-    value = Fraction(sense * primal, obj_scale * det)
-    if any(shift):
-        x = [v + lb for v, lb in zip(x, shift)]
-        value += dot(problem.objective, shift)
-    return LPOptimal(value, tuple(x))
+    x = tuple(Fraction(v, det) for v in num[:n])
+    return LPOptimal(Fraction(sense * primal, obj_scale * det), x)

@@ -198,23 +198,30 @@ def geometric_truncated(n: int, alpha) -> Channel:
     return Channel(labels, labels, tuple(rows))
 
 
-def random_response(n: int, alpha) -> Channel:
-    """Uniform-offdiagonal response channel: diagonal 1/k, off-diagonal
-    alpha/k with k = 1 + (n-1) alpha.  Meets the discrete metric's stretch
-    1/alpha with equality on every pair."""
+def _response(n: int, alpha, dual: bool) -> Channel:
+    """The n-point channel with diagonal 1/k and off-diagonal r/k, where
+    k = 1 + (n-1) r and r is ``alpha`` (or 1/alpha for the dual)."""
     alpha = parse_scalar(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     if n < 1:
         raise ValueError("need at least one point")
     labels = tuple(str(i) for i in range(n))
-    k = 1 + (n - 1) * alpha
+    r = 1 / alpha if dual else alpha
+    k = 1 + (n - 1) * r
     diag = 1 / k
-    off = alpha / k
+    off = r / k
     rows = tuple(
         tuple(diag if i == j else off for j in range(n)) for i in range(n)
     )
     return Channel(labels, labels, rows)
+
+
+def random_response(n: int, alpha) -> Channel:
+    """Uniform-offdiagonal response channel: diagonal 1/k, off-diagonal
+    alpha/k with k = 1 + (n-1) alpha.  Meets the discrete metric's stretch
+    1/alpha with equality on every pair."""
+    return _response(n, alpha, dual=False)
 
 
 def random_response_dual(n: int, alpha) -> Channel:
@@ -222,20 +229,7 @@ def random_response_dual(n: int, alpha) -> Channel:
     entries *larger* than the diagonal by the full stretch 1/alpha.  Its
     column minima sit on the diagonal, which is what the additive bound
     needs."""
-    alpha = parse_scalar(alpha)
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
-    if n < 1:
-        raise ValueError("need at least one point")
-    labels = tuple(str(i) for i in range(n))
-    beta = 1 / alpha
-    m = 1 + (n - 1) * beta
-    diag = 1 / m
-    off = beta / m
-    rows = tuple(
-        tuple(diag if i == j else off for j in range(n)) for i in range(n)
-    )
-    return Channel(labels, labels, rows)
+    return _response(n, alpha, dual=True)
 
 
 def binary_optimal(space: MetricSpace) -> Channel:
@@ -271,48 +265,28 @@ class DpReport:
     violations: tuple  # of (x_label, x'_label, y_label, ratio or None)
 
 
-def _violations(
-    rows: Matrix,
-    pairs,
-    stretch: Matrix,
-    x_labels,
-    y_labels,
-) -> list:
-    out = []
-    for i, j in pairs:
-        bound = stretch[i][j]
-        ri, rj = rows[i], rows[j]
-        for y, (a, b) in enumerate(zip(ri, rj)):
-            if a > bound * b:
-                ratio = a / b if b else None
-                out.append((x_labels[i], x_labels[j], y_labels[y], ratio))
-            if b > bound * a:
-                ratio = b / a if a else None
-                out.append((x_labels[j], x_labels[i], y_labels[y], ratio))
-    return out
-
-
-def check_dx_private(
-    channel: Channel, space: MetricSpace, *, paranoid: bool = False
-) -> DpReport:
+def check_dx_private(channel: Channel, space: MetricSpace) -> DpReport:
     """Row-ratio privacy check against the space's stretch factors.
 
-    By default only the space's tight pairs are checked — the rest follow by
-    chaining, since stretch factors multiply along chains.  ``paranoid=True``
-    checks every pair anyway (useful when auditing a hand-built space whose
-    tight-pair pruning you do not want to trust).
+    Only the space's tight pairs are checked — the rest follow by chaining,
+    since stretch factors multiply along chains.  Each violation is
+    ``(x, x', y, ratio)``: the channel's row ``x`` exceeds the pair's stretch
+    times row ``x'`` at output ``y``, with ``ratio`` None where row ``x'`` is
+    0 there.  Pairs come in ``tight_pairs`` order, outputs in column order.
     """
     if channel.x_labels != space.labels:
         raise ValueError("channel secrets do not match the space's labels")
-    if paranoid:
-        pairs = [
-            (i, j) for i in range(space.n) for j in range(i + 1, space.n)
-        ]
-    else:
-        pairs = list(space.tight_pairs)
-    bad = _violations(
-        channel.rows, pairs, space.stretch, channel.x_labels, channel.y_labels
-    )
+    rows, x_labels, y_labels = channel.rows, channel.x_labels, channel.y_labels
+    bad = []
+    for i, j in space.tight_pairs:
+        bound = space.stretch[i][j]
+        for y, (a, b) in enumerate(zip(rows[i], rows[j])):
+            if a > bound * b:
+                ratio = a / b if b else None
+                bad.append((x_labels[i], x_labels[j], y_labels[y], ratio))
+            if b > bound * a:
+                ratio = b / a if a else None
+                bad.append((x_labels[j], x_labels[i], y_labels[y], ratio))
     return DpReport(ok=not bad, violations=tuple(bad))
 
 

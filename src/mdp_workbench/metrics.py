@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, Overflow, localcontext
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -83,6 +83,8 @@ def _int_root(value: int, k: int) -> Optional[int]:
     """Exact integer k-th root of a non-negative int, or None."""
     if value < 2 or k == 1:
         return value
+    if value.bit_length() <= k:  # 1 < value < 2**k: the root lies in (1, 2)
+        return None
     # Newton's method from a power of two above the root descends
     # monotonically to the floor of the root.
     x = 1 << -(-value.bit_length() // k)
@@ -114,7 +116,8 @@ _GUARD_DIGITS = 25
 def _rounded_power(base: Fraction, d2: Fraction, digits: int) -> Fraction:
     """``base**sqrt(d2)`` for ``base > 1``, rounded half-even to ``digits``
     significant digits.  Call only when the power is irrational: it then
-    never sits on a rounding tie.
+    never sits on a rounding tie.  A power past ``decimal``'s largest
+    exponent raises ``ValueError``.
 
     The result is certified: every decimal step below is correctly rounded
     at ``prec`` digits, so the computed value lies within relative error
@@ -129,7 +132,12 @@ def _rounded_power(base: Fraction, d2: Fraction, digits: int) -> Fraction:
         with localcontext(ctx):
             root = (Decimal(d2.numerator) / d2.denominator).sqrt()
             exponent = root * (Decimal(base.numerator) / base.denominator).ln()
-            value = exponent.exp()
+            try:
+                value = exponent.exp()
+            except Overflow:
+                raise ValueError(
+                    f"the stretch {base}**{root} is beyond decimal's exponent range"
+                ) from None
             slack = Decimal(1).scaleb((exponent + root + 1).adjusted() + 3 - ctx.prec)
             if slack < 1:
                 low = rounding.plus(value * (1 - slack))

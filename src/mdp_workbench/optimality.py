@@ -104,7 +104,10 @@ def make_loss(
 ) -> LossFunction:
     """Build one of the stock losses.
 
-    * ``bin``: 0 for a correct guess, 1 otherwise (actions = secrets).
+    ``bin``, ``nib`` and ``avg`` are over ``labels``, which serve as both
+    actions and secrets:
+
+    * ``bin``: 0 for a correct guess, 1 otherwise.
     * ``nib``: the perverse flip — 1 for a correct guess, 0 otherwise.
     * ``avg``: absolute numeric distance |w - x| (labels must be integers).
     * ``monotone``: ``profile[d(assignment[w], x)]`` over a space with
@@ -114,9 +117,7 @@ def make_loss(
     """
     if kind in ("bin", "nib", "avg"):
         if labels is None:
-            if space is None:
-                raise ValueError(f"{kind} loss needs labels or a space")
-            labels = space.labels
+            raise ValueError(f"{kind} loss needs labels")
         labels = tuple(str(s) for s in labels)
         if kind == "avg":
             try:
@@ -450,11 +451,13 @@ def check_universal_l_optimal(
     ordered = sorted(kernels, key=lambda h: (h.inners, h.outers))
     rivals = [(k, from_hyper(k)[0]) for k in ordered]
     scaled_loss = _integer_rows(loss.table)
+    d_m, cand_cols = _column_actions(channel, scaled_loss)
 
     if mode == "sampled":
-        return _check_sampled(channel, loss, scaled_loss, rivals, samples, seed)
+        return _check_sampled(
+            channel, loss, scaled_loss, d_m, cand_cols, rivals, samples, seed
+        )
 
-    d_m, cand_cols = _column_actions(channel, scaled_loss)
     rival_cols = [(k, kc, *_column_actions(kc, scaled_loss)) for k, kc in rivals]
     total = _strategy_count(cand_cols) + sum(
         _strategy_count(cols) for _, _, _, cols in rival_cols
@@ -518,22 +521,31 @@ def check_universal_l_optimal(
                 raise AssertionError("a strategy cell's LP is unbounded")
             if res.value > 0:
                 prior = Prior(channel.x_labels, tuple(res.point[:n]))
-                margin = res.value / d_k
-                gap = posterior_uncertainty(loss, prior, channel) - (
-                    posterior_uncertainty(loss, prior, kc)
-                )
-                if gap != margin:
-                    raise AssertionError("counterexample failed re-verification")
-                return Verdict(
-                    "counterexample", prior=prior, rival=k, margin=gap
-                )
+                return _counterexample(loss, channel, prior, (k, kc), res.value / d_k)
     return Verdict("optimal")
+
+
+def _counterexample(
+    loss: LossFunction, channel: Channel, prior: Prior, rival: tuple, margin: Fraction
+) -> Verdict:
+    """The counterexample verdict against ``rival``, a kernel and its
+    channel, once the utility gap recomputed with ``posterior_uncertainty``
+    at ``prior`` equals the margin found."""
+    kernel, kernel_channel = rival
+    gap = posterior_uncertainty(loss, prior, channel) - (
+        posterior_uncertainty(loss, prior, kernel_channel)
+    )
+    if gap != margin:
+        raise AssertionError("counterexample failed re-verification")
+    return Verdict("counterexample", prior=prior, rival=kernel, margin=gap)
 
 
 def _check_sampled(
     channel: Channel,
     loss: LossFunction,
     scaled_loss: tuple,
+    d_mine: int,
+    mine_cols: list,
     rivals: list,
     samples: int,
     seed: int,
@@ -551,7 +563,6 @@ def _check_sampled(
         battery.append(tuple(weights))
     # A channel's posterior uncertainty at weights w is _score(w) / (d * Σw);
     # the weight sum is shared, so the comparison cross-multiplies the d's.
-    d_mine, mine_cols = _column_actions(channel, scaled_loss)
     mine = [_score(mine_cols, weights) for weights in battery]
     for k, kc in rivals:
         d_k, k_cols = _column_actions(kc, scaled_loss)
@@ -563,14 +574,7 @@ def _check_sampled(
                     channel.x_labels, tuple(Fraction(w, total) for w in weights)
                 )
                 margin = Fraction(excess, d_mine * d_k * total)
-                gap = posterior_uncertainty(loss, prior, channel) - (
-                    posterior_uncertainty(loss, prior, kc)
-                )
-                if gap != margin:
-                    raise AssertionError(
-                        "sampled counterexample failed re-verification"
-                    )
-                return Verdict("counterexample", prior=prior, rival=k, margin=gap)
+                return _counterexample(loss, channel, prior, (k, kc), margin)
     return Verdict(
         "unknown",
         detail=(

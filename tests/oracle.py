@@ -10,6 +10,9 @@
   cell maximised by brute force over its vertices.  The package states its
   cells in integers and solves them with its simplex, so tests may check its
   exact verdicts against this one.
+* The row-ratio privacy check over every pair of secrets.  The package
+  checks only a space's tight pairs, so tests may check its violations
+  against this one's, restricted to those pairs.
 * A significant-digit rounding of ``base**exponent`` in ``mpmath`` at twice
   the digits plus 40.  The package rounds its irrational stretches with the
   standard library's ``decimal`` and certifies the result, so tests may
@@ -224,6 +227,24 @@ def exact_verdict(channel, loss, kernels) -> tuple:
             if best is not None and best[0] > 0:
                 return "counterexample", k, best[0], tuple(s for s, _ in strategy)
     return "optimal", None, None, None
+
+
+def dx_violations(channel, space) -> tuple:
+    """Every ``(x, x', y, ratio)`` where row ``x`` exceeds the stretch of
+    ``(x, x')`` times row ``x'`` at output ``y`` (``ratio`` None where row
+    ``x'`` is 0), over all pairs i < j in label order, then outputs in
+    order, then ``x = i`` before ``x = j``."""
+    rows, labels, n = channel.rows, channel.x_labels, len(channel.x_labels)
+    found = []
+    for i, j in itertools.combinations(range(n), 2):
+        s = space.stretch[i][j]
+        for y, label in enumerate(channel.y_labels):
+            for x, other in ((i, j), (j, i)):
+                a, b = rows[x][y], rows[other][y]
+                if a > s * b:
+                    ratio = a / b if b else None
+                    found.append((labels[x], labels[other], label, ratio))
+    return tuple(found)
 
 
 def rounded_power(base: Fraction, exponent, digits: int) -> Fraction:

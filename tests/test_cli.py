@@ -117,6 +117,23 @@ def test_large_rational_distance_exits_zero(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "2 vertices"
 
 
+def test_tiny_rational_distance_exits_zero(tmp_path, capsys):
+    # 2**(1/10**13) once hung the exact-root search.
+    m = _metric(tmp_path, kind="custom", base="2", labels=["a", "b"],
+                distances=[["0", "1/10000000000000"], ["1/10000000000000", "0"]])
+    assert main(["vertices", "--metric", m, "--no-cache"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "2 vertices"
+
+
+def test_stretch_past_the_decimal_range_exits_two(tmp_path, capsys):
+    # 2**(10**400 / 3) once escaped as a decimal.Overflow traceback.
+    d = "1" + "0" * 400 + "/3"
+    m = _metric(tmp_path, kind="custom", base="2", labels=["a", "b"],
+                distances=[["0", d], [d, "0"]])
+    assert main(["vertices", "--metric", m, "--no-cache"]) == 2
+    assert "exponent range" in capsys.readouterr().err
+
+
 def test_only_the_chosen_format_is_built(tmp_path, capsys, monkeypatch):
     def unused(*args):
         raise AssertionError("built output for a format not asked for")

@@ -309,20 +309,21 @@ def test_lp_unbounded():
 
 
 def test_lp_free_variables():
-    # minimize x with x free and x >= -5 expressed as a row: -x <= 5.
+    # minimize x with x free, stated as x = u - v over u, v >= 0, and
+    # x >= -5 expressed as a row: -x <= 5.
     res = lp_optimize(
         LPProblem(
-            objective=(F(1),),
-            ub_rows=((F(-1),),),
+            objective=(F(1), F(-1)),
+            ub_rows=((F(-1), F(1)),),
             ub_rhs=(F(5),),
-            lower_bounds=(None,),
         )
     )
     assert isinstance(res, LPOptimal)
     assert res.value == F(-5)
+    assert res.point[0] - res.point[1] == F(-5)
 
 
-def test_lp_iteration_limit_reported_distinctly():
+def test_lp_iteration_limit_reported_distinctly(monkeypatch):
     rng = random.Random(7)
     n = 6
     rows = tuple(
@@ -335,8 +336,9 @@ def test_lp_iteration_limit_reported_distinctly():
         ub_rows=rows,
         ub_rhs=rhs,
     )
+    monkeypatch.setattr(exact, "_PIVOT_LIMIT", 1)
     with pytest.raises(SimplexIterationLimit):
-        lp_optimize(problem, iteration_limit=1)
+        lp_optimize(problem)
 
 
 def test_lp_degenerate_redundant_equalities():
@@ -381,22 +383,16 @@ def test_lp_simplex_feasibility_property(bounds):
 def _brute_force_lp(p: LPProblem):
     """(status, optimal value) from every basis of the LP's standard form.
 
-    Free variables are split, bounded ones shifted to 0, ub rows get a slack.
-    A basis is primal feasible when its basic solution is >= 0 and solves
-    every row; the LP is bounded iff some feasible basis is also dual
-    feasible, and then the least basic value is the optimum.
+    Every variable is >= 0 and ub rows get a slack.  A basis is primal
+    feasible when its basic solution is >= 0 and solves every row; the LP
+    is bounded iff some feasible basis is also dual feasible, and then the
+    least basic value is the optimum.
     """
-    n = len(p.objective)
-    lower = p.lower_bounds if p.lower_bounds is not None else (F(0),) * n
-    shift = [F(0) if lb is None else lb for lb in lower]
     rows = list(p.eq_rows) + list(p.ub_rows)
-    rhs = [b - dot(r, shift) for r, b in zip(rows, list(p.eq_rhs) + list(p.ub_rhs))]
+    rhs = list(p.eq_rhs) + list(p.ub_rhs)
     sense = -1 if p.maximize else 1
-    cols, cost = [], []
-    for j in range(n):
-        for sign in (1,) if lower[j] is not None else (1, -1):
-            cols.append([sign * r[j] for r in rows])
-            cost.append(sense * sign * p.objective[j])
+    cols = [[r[j] for r in rows] for j in range(len(p.objective))]
+    cost = [sense * c for c in p.objective]
     for k in range(len(p.ub_rows)):
         cols.append([F(int(i == len(p.eq_rows) + k)) for i in range(len(rows))])
         cost.append(F(0))
@@ -428,7 +424,7 @@ def _brute_force_lp(p: LPProblem):
         return "infeasible", None
     if not bounded:
         return "unbounded", None
-    return "optimal", sense * best + dot(p.objective, shift)
+    return "optimal", sense * best
 
 
 def _random_lp(rng: random.Random) -> LPProblem:
@@ -437,10 +433,6 @@ def _random_lp(rng: random.Random) -> LPProblem:
     def q():
         return F(rng.randint(-4, 4), rng.randint(1, 3))
 
-    lower = tuple(
-        None if rng.random() < 0.3 else q() if rng.random() < 0.4 else F(0)
-        for _ in range(n)
-    )
     # Zero right-hand sides make degenerate vertices; negative ones need an
     # artificial in phase 1.
     def rhs():
@@ -461,7 +453,6 @@ def _random_lp(rng: random.Random) -> LPProblem:
         eq_rhs=tuple(eq_rhs),
         ub_rows=ub_rows,
         ub_rhs=ub_rhs,
-        lower_bounds=lower if rng.random() < 0.7 else None,
     )
 
 
@@ -478,8 +469,7 @@ def _assert_feasible(p: LPProblem, res: LPOptimal) -> None:
         assert dot(row, res.point) == b
     for row, b in zip(p.ub_rows, p.ub_rhs):
         assert dot(row, res.point) <= b
-    for v, lb in zip(res.point, p.lower_bounds or (F(0),) * len(res.point)):
-        assert lb is None or v >= lb
+    assert all(v >= 0 for v in res.point)
     assert res.value == dot(p.objective, res.point)
 
 
@@ -516,7 +506,6 @@ def test_lp_stated_in_integer_multiples_matches_fractions(seed):
             eq_rhs=tuple(b for _, (b,), _ in eq),
             ub_rows=tuple(r for r, _, _ in ub),
             ub_rhs=tuple(b for _, (b,), _ in ub),
-            lower_bounds=p.lower_bounds,
         )
         assert all(
             type(v) is int
@@ -558,8 +547,9 @@ def test_lp_bland_fallback_breaks_a_dantzig_cycle(monkeypatch):
     assert res == LPOptimal(F(-5, 4), (F(1), F(0), F(1), F(0)))
     assert _brute_force_lp(BEALE) == ("optimal", F(-5, 4))
     monkeypatch.setattr(exact, "_STALL_LIMIT", 10**9)  # Dantzig only
+    monkeypatch.setattr(exact, "_PIVOT_LIMIT", 1000)
     with pytest.raises(SimplexIterationLimit, match="phase 2"):
-        lp_optimize(BEALE, iteration_limit=1000)
+        lp_optimize(BEALE)
 
 
 def test_lp_points_are_pinned():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from conftest import rand_dx_channel, space_and_kernels
 from mdp_workbench import (
     Channel,
@@ -14,9 +15,12 @@ from mdp_workbench import (
     Hyper,
     Prior,
     binary_optimal,
+    build_constraints,
     channel_from_json,
     channel_to_json,
     check_dx_private,
+    enumerate_kernels,
+    enumerate_vertices,
     external_choice,
     from_hyper,
     geometric_truncated,
@@ -125,14 +129,45 @@ def test_check_dp_label_mismatch():
         check_dx_private(trivial_channel(["x", "y", "z"]), sp)
 
 
-def test_check_dp_paranoid_equals_default_on_random_channels():
+def _break_privacy(rng, channel):
+    """Move a row's largest entry to the next column, leaving a zero where
+    the other rows are positive."""
+    rows = [list(r) for r in channel.rows]
+    x = rng.randrange(len(rows))
+    j = max(range(len(rows[x])), key=lambda c: rows[x][c])
+    k = (j + 1) % len(rows[x])
+    rows[x][k] += rows[x][j]
+    rows[x][j] = F(0)
+    return Channel(channel.x_labels, channel.y_labels, tuple(map(tuple, rows)))
+
+
+def _star_space_and_kernels():
+    # b is the centre; a-c, a-d and c-d are chains through b, not tight.
+    d = [["0", "1", "2", "3/2"], ["1", "0", "1", "1/2"],
+         ["2", "1", "0", "3/2"], ["3/2", "1/2", "3/2", "0"]]
+    sp = make_metric("custom", labels="abcd", distances=d, base=4)
+    return sp, enumerate_kernels(sp, enumerate_vertices(build_constraints(sp)))
+
+
+def test_check_dp_equals_the_all_pairs_oracle_on_tight_pairs():
+    # Grid 1x1 is an approximate space; the star has pairs that are not tight.
+    spaces = [space_and_kernels(*spec)[::2] for spec in
+              (("line", 4), ("discrete", 3), ("hamming", 2), ("grid", 1))]
     rng = random.Random(31)
-    for kind in ("line", "discrete"):
-        sp, _, kernels = space_and_kernels(kind, 3)
+    for sp, kernels in spaces + [_star_space_and_kernels()]:
+        tight = {frozenset((sp.labels[i], sp.labels[j])) for i, j in sp.tight_pairs}
         for _ in range(25):
-            ch = rand_dx_channel(rng, sp, kernels)
-            assert check_dx_private(ch, sp).ok
-            assert check_dx_private(ch, sp, paranoid=True).ok
+            private = rand_dx_channel(rng, sp, kernels)
+            channels = [private]
+            if len(private.y_labels) > 1:  # one column cannot be broken
+                channels.append(_break_privacy(rng, private))
+            for ch in channels:
+                report = check_dx_private(ch, sp)
+                everywhere = oracle.dx_violations(ch, sp)
+                assert report.ok == (not everywhere) == (ch is private)
+                assert report.violations == tuple(
+                    v for v in everywhere if frozenset(v[:2]) in tight
+                )
 
 
 def _check_dx_private_via_hyper(channel, space):

@@ -138,6 +138,25 @@ def test_int_root_is_exact_on_large_powers(root, k):
     assert metrics._int_root(root**k - 1, k) is None
 
 
+def test_tiny_rational_distance_is_rounded():
+    # 2**(1/10**13): the root search once started Newton's method at 2 and
+    # raised it to the power 10**13 - 1.  A value below 2**k other than 1
+    # has no integer k-th root.
+    d = F(1, 10**13)
+    sp = make_metric("custom", labels=["a", "b"], distances=[[0, d], [d, 0]], base=2)
+    assert sp.mode == "approximate"
+    assert stretch(sp, "a", "b") == oracle.rounded_power(F(2), d, 30)
+    assert metrics._int_root(2, 10**13) is None
+    assert metrics._int_root(2**64 - 1, 64) is None
+
+
+def test_stretch_past_the_decimal_exponent_range_is_refused():
+    # 2**(10**400 / 3) has about 10**399 digits: no decimal context holds it.
+    d = F(10**400, 3)
+    with pytest.raises(ValueError, match="exponent range"):
+        make_metric("custom", labels=["a", "b"], distances=[[0, d], [d, 0]], base=2)
+
+
 def test_rounding_beyond_the_default_decimal_exponent_range():
     # 2**(10**7 / 3) is about 10**1003433, past the default context's Emax.
     d = Fraction(10**7, 3)

@@ -98,3 +98,92 @@ def test_package_has_no_unused_private_helpers():
         and node.name not in used
     ]
     assert found == []
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Library inputs that no program caller passes, each with why it stays.
+DOCUMENTED_OPTIONS = {
+    "check_universal_l_optimal.budget": (
+        "the exact verdict's work bound; the README documents it for library "
+        "callers, and the CLI keeps the default"
+    ),
+    "make_loss.assignment": "input of the monotone loss: the secret each action names",
+    "make_loss.profile": "input of the monotone loss: the loss at each distance",
+}
+
+
+def _program_trees():
+    """The package and perfbench, without their tests."""
+    paths = [*PACKAGE.rglob("*.py"), *(REPO / "perfbench").glob("*.py")]
+    for path in sorted(paths):
+        if not path.name.startswith("test_"):
+            yield ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _options():
+    """``(owner, name, position)`` of every defaulted parameter of a public
+    function and every defaulted field of a public dataclass; ``position``
+    is None for a keyword-only parameter."""
+    for _, tree in _modules():
+        for node in tree.body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    yield node.name, arg.arg, i
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield node.name, arg.arg, None
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [
+                    s for s in node.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                ]
+                for i, field in enumerate(fields):
+                    if field.value is not None:
+                        yield node.name, field.target.id, i
+
+
+def test_every_option_is_passed_by_the_program():
+    # A defaulted parameter or field that only tests set is a second code
+    # path that only tests run.  It counts as passed when a call in the
+    # package or perfbench gives it by keyword or by position, or when one
+    # of them writes its name as a string key (argument dicts that a call
+    # then unpacks).  The allowlist must match exactly, so a stale entry
+    # fails too.
+    keywords, positions, keys = set(), {}, set()
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                keywords |= {(callee, kw.arg) for kw in node.keywords}
+                count = len(node.args)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    count = float("inf")
+                positions[callee] = max(positions.get(callee, 0), count)
+            elif isinstance(node, ast.Dict):
+                keys |= {k.value for k in node.keys if isinstance(k, ast.Constant)}
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.slice, ast.Constant):
+                    keys.add(node.slice.value)
+    unpassed = sorted(
+        f"{owner}.{name}"
+        for owner, name, position in _options()
+        if (owner, name) not in keywords
+        and not (position is not None and positions.get(owner, 0) > position)
+        and name not in keys
+    )
+    assert unpassed == sorted(DOCUMENTED_OPTIONS)
